@@ -37,7 +37,6 @@ from .ncp_models import (
     brady_f,
     brady_g,
     construct_fiber,
-    count_nc_b,
     enumerate_nc_a,
     enumerate_nc_b,
     is_noncrossing_a,
@@ -54,7 +53,6 @@ from .root_coxeter import (
     RootSystem,
     absolute_length,
     build_root_system,
-    coxeter_element,
     enumerate_nc,
     leq_absolute,
     reflection,

@@ -2,13 +2,11 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd
 
-from .derived_engine import InvalidType, brute_force_classify, thick_from_nc
-from .linalg import mat_inverse, mat_mul, mat_pow
-from .ncp_models import ar_bijection_f, sigma_rho_power
-from .root_coxeter import DynkinType, NotInInterval, build_root_system, enumerate_nc, in_nc
+from .derived_engine import InvalidType, brute_force_classify, fixed_descriptors
+from .linalg import mat_pow, mat_vec
+from .root_coxeter import DynkinType, build_root_system, roots_below
 
 
 class ExcludedType(ValueError):
@@ -104,42 +102,45 @@ def reduce_criterion(ct):
     return InvarianceCriterion("cox_conjugation", gcd(h, parameter_p(ct)))
 
 
-@lru_cache(maxsize=None)
-def _d4_triality_nc_matrices(s):
-    ct = CategoryType(DynkinType("D", 4), s if s else 3, 3)
-    return frozenset(d.nc.matrix for d in brute_force_classify(ct))
+def criterion_root_map(rs, crit):
+    """The permutation alpha -> ±L alpha of the positive roots whose
+    fixed root sets are the interval elements the criterion keeps.
+
+    Conjugation by L sends the root set of w to that of L w L^-1.  For
+    cox_conjugation L = cox^s.  For sigma_rho_power L = P cox^s, with P
+    the swap of the simple roots n-1 and n: cox conjugation acts on the
+    D model as sigma.rho (coxeter_conjugation_is_sigma_rho) and the arm
+    swap as sigma (phi_fixes_sigma_on_nc), so sigma^(s+1) rho^s is
+    conjugation by P cox^s.
+    """
+    if crit.mode == "d4_triality":
+        raise ExcludedType("(D4, r, 3) has no interval-level criterion; it is oracle-only")
+    if crit.mode not in ("cox_conjugation", "sigma_rho_power"):
+        raise InvalidType(f"unknown criterion mode {crit.mode!r}")
+    L = mat_pow(rs.cox.matrix, crit.s)
+    if crit.mode == "sigma_rho_power":
+        n = rs.rank
+        L = L[: n - 2] + (L[n - 1], L[n - 2])  # P L: swap the last two rows
+    return {a: rs.normalize_root(mat_vec(L, a))[0] for a in rs.positives}
 
 
 def is_invariant_nc(rs, w, crit):
-    if not in_nc(rs, w):
-        raise NotInInterval("element outside the interval")
-    if crit.mode == "cox_conjugation":
-        coxs = mat_pow(rs.cox.matrix, crit.s)
-        conj = mat_mul(mat_mul(coxs, w.matrix), mat_inverse(coxs))
-        return conj == w.matrix
-    if crit.mode == "sigma_rho_power":
-        p = ar_bijection_f(rs, w)
-        return sigma_rho_power(p, crit.s) == p
-    if crit.mode == "d4_triality":
-        return w.matrix in _d4_triality_nc_matrices(crit.s)
-    raise InvalidType(f"unknown criterion mode {crit.mode!r}")
+    """Is the root set of w closed under the criterion's root map?"""
+    roots = roots_below(rs, w)
+    root_map = criterion_root_map(rs, crit)
+    return all(root_map[a] in roots for a in roots)
 
 
 def enumerate_thick(ct):
-    """Thick subcategories of the type, as descriptors at the interval level."""
-    rs = build_root_system(ct.delta)
+    """Thick subcategories of the type, as descriptors at the interval level.
+
+    (D4, r, 3) has no interval-level criterion and goes to the engine.
+    """
     crit = reduce_criterion(ct)
-    if crit.mode == "cox_conjugation":
-        coxs = mat_pow(rs.cox.matrix, crit.s)
-        coxsinv = mat_inverse(coxs)
-        keep = [
-            w
-            for w in enumerate_nc(rs)
-            if mat_mul(mat_mul(coxs, w.matrix), coxsinv) == w.matrix
-        ]
-    else:
-        keep = [w for w in enumerate_nc(rs) if is_invariant_nc(rs, w, crit)]
-    return [thick_from_nc(rs, w) for w in keep]
+    if crit.mode == "d4_triality":
+        return brute_force_classify(ct)
+    rs = build_root_system(ct.delta)
+    return fixed_descriptors(rs, criterion_root_map(rs, crit))
 
 
 def catalan(n):

@@ -55,6 +55,15 @@ USAGE_ERROR = 1
 MATH_ERROR = 2
 MISMATCH = 3
 
+
+class UsageError(Exception):
+    """Bad input from the command line or the environment (exit 1)."""
+
+
+class IndexOutOfRange(ValueError):
+    pass
+
+
 _MATH_ERRORS = (
     InvalidType,
     NotARoot,
@@ -66,6 +75,7 @@ _MATH_ERRORS = (
     classifier.ExcludedType,
     classifier.NotAsashibaType,
     render.WindowTooLarge,
+    IndexOutOfRange,
     ValueError,
 )
 
@@ -82,7 +92,7 @@ def max_e_rank():
     try:
         return int(raw)
     except ValueError:
-        return 6
+        raise UsageError(f"THICKET_MAX_RANK must be an integer, got {raw!r}") from None
 
 
 def _category_type(args):
@@ -231,6 +241,11 @@ def cmd_render(args):
         lo, hi = args.window.split(":")
         window = (int(lo), int(hi))
     descs = enumerate_thick(ct)
+    if args.index is not None and not 0 <= args.index < len(descs):
+        raise IndexOutOfRange(
+            f"--index {args.index} is out of range: {ct} has {len(descs)} "
+            f"thick subcategories, indexed 0 to {len(descs) - 1}"
+        )
     chosen = descs if args.index is None else [descs[args.index]]
     for i, desc in enumerate(chosen):
         idx = args.index if args.index is not None else i
@@ -269,13 +284,9 @@ def cmd_table(args):
 # -- verify battery -----------------------------------------------------
 
 
-def _catalan(n):
-    return comb(2 * n, n) // (n + 1)
-
-
 def _check_partition_counts(max_rank):
     n = max(4, min(8, max_rank + 3))
-    ok = all(len(enumerate_nc_a(k)) == _catalan(k) for k in range(1, n + 1))
+    ok = all(len(enumerate_nc_a(k)) == classifier.catalan(k) for k in range(1, n + 1))
     return ok, f"A-model counts match Catalan numbers up to n={n}"
 
 
@@ -308,7 +319,7 @@ def _check_rotation_counts(max_rank):
         for r in range(1, h + 1):
             s = gcd(h, r)
             got = sum(1 for d in periods if s % d == 0)
-            want = _catalan(h) if s == h else comb(2 * s, s)
+            want = classifier.catalan(h) if s == h else comb(2 * s, s)
             if got != want:
                 return False, f"rotation count failed at h={h}, r={r}"
     return True, f"rotation-invariant counts match binomials up to h={hmax}"
@@ -375,7 +386,7 @@ def _check_classification(max_rank):
     bad = []
     for n in range(1, max_rank + 1):
         for series, rank, t in classifier.admissible_types_for_rank(n):
-            if series == "E":
+            if series == "E" or t == 3:
                 continue
             d = DynkinType(series, rank)
             for r in range(1, 2 * d.coxeter_number + 1):
@@ -386,7 +397,10 @@ def _check_classification(max_rank):
                     bad.append(str(ct))
     if bad:
         return False, f"criterion disagrees with brute force: {bad[:5]}"
-    return True, f"criterion equals brute force for all admissible types up to rank {max_rank}"
+    return True, (
+        f"criterion equals brute force for all admissible types up to rank {max_rank}; "
+        "(D4, r, 3) has no interval-level criterion and is oracle-only"
+    )
 
 
 def _check_cluster(max_rank):
@@ -454,6 +468,9 @@ def main(argv=None):
     except _MATH_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_ERROR
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -31,6 +31,11 @@ class InvalidType(ValueError):
     pass
 
 
+class MixedRoots(RuntimeError):
+    """Internal fault: a vertex map sends two vertices carrying one root
+    to vertices carrying different roots, so it induces no root map."""
+
+
 @dataclass(frozen=True)
 class QuiverAutomorphism:
     """g(m, q) = (m + offset[q-1], perm[q-1])."""
@@ -388,7 +393,8 @@ def is_invariant_vertex_set(labeling, desc, g):
     """Does g map the marked vertex set onto itself?
 
     Marks are m-periodic with period h, so agreement on a strip of
-    width 2h decides invariance globally.
+    width 2h decides invariance globally.  This vertex-level scan is the
+    reference that root_permutation's root-level filter is tested against.
     """
     h = labeling.h
     for m in range(2 * h):
@@ -400,12 +406,12 @@ def is_invariant_vertex_set(labeling, desc, g):
 
 
 def root_permutation(labeling, g):
-    """The permutation of positive roots induced by g, if well-defined.
+    """The permutation of positive roots induced by the vertex map g.
 
     Vertex marks are root-determined, so when every vertex carrying a
     root maps to vertices carrying one common root, invariance of a
     vertex set reduces to closure of its root set under this map.
-    Returns None when g mixes roots (never for the maps built here).
+    Raises MixedRoots when g mixes roots (never for the maps built here).
     """
     out = {}
     h = labeling.h
@@ -414,7 +420,23 @@ def root_permutation(labeling, g):
             src = labeling.root_at(m, q)
             img = labeling.root_at(*g(m, q))
             if out.setdefault(src, img) != img:
-                return None
+                raise MixedRoots(f"{g.name or 'vertex map'} sends {src} to {out[src]} and {img}")
+    return out
+
+
+def fixed_descriptors(rs, root_map):
+    """Descriptors of the interval elements whose root set root_map maps
+    onto itself, in interval order.
+
+    root_map is a permutation of the positive roots.  Every
+    classification route is this filter; the routes differ only in where
+    the permutation comes from.
+    """
+    out = []
+    for w in enumerate_nc(rs):
+        roots = roots_below(rs, w)
+        if all(root_map[a] in roots for a in roots):
+            out.append(ThickDescriptor(rs.delta, w, roots))
     return out
 
 
@@ -432,25 +454,13 @@ def generator_map(ct):
 
 
 def brute_force_classify(ct):
-    """Filter the interval by vertex-set invariance under the generator.
+    """The interval elements whose vertex set the generator fixes.
 
-    This is the oracle for every closed formula and NC-level criterion,
-    including the two type families without a translation-power criterion.
+    This is the oracle for every closed formula and interval-level
+    criterion, and the only route for (D4, r, 3), which has none.
     """
-    rs = build_root_system(ct.delta)
     labeling = build_label_walk(ct.delta)
-    g = generator_map(ct)
-    perm = root_permutation(labeling, g)
-    out = []
-    for w in enumerate_nc(rs):
-        desc = thick_from_nc(rs, w)
-        if perm is not None:
-            ok = all(perm[r] in desc.roots for r in desc.roots)
-        else:
-            ok = is_invariant_vertex_set(labeling, desc, g)
-        if ok:
-            out.append(desc)
-    return out
+    return fixed_descriptors(labeling.rs, root_permutation(labeling, generator_map(ct)))
 
 
 def nc_element_of_vertex_set(rs, labeling, marked_roots):
@@ -506,16 +516,7 @@ def cluster_category_check(delta, power=1):
     rs = build_root_system(delta)
     labeling = build_label_walk(delta)
     g = suspension_vertex_map(delta).power(power) @ tau_power(delta.rank, -1)
-    perm = root_permutation(labeling, g)
-    invariant = []
-    for w in enumerate_nc(rs):
-        desc = thick_from_nc(rs, w)
-        if perm is not None:
-            ok = all(perm[r] in desc.roots for r in desc.roots)
-        else:
-            ok = is_invariant_vertex_set(labeling, desc, g)
-        if ok:
-            invariant.append(desc)
+    invariant = fixed_descriptors(rs, root_permutation(labeling, g))
     failures = tuple(
         d.nc for d in invariant if d.roots not in (frozenset(), frozenset(rs.positives))
     )

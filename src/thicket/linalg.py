@@ -76,13 +76,15 @@ def rank(m):
     return r
 
 
-def mat_inverse(m):
-    """Exact inverse of an integer matrix that is invertible over Z."""
+def frac_inverse(m):
+    """Exact inverse over the rationals, as a tuple of tuples of Fractions."""
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(m)]
     for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
         if piv != c:
             a[c], a[piv] = a[piv], a[c]
         inv = 1 / a[c][c]
@@ -91,13 +93,15 @@ def mat_inverse(m):
             if i != c and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not invertible over the integers")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def mat_inverse(m):
+    """Exact inverse of an integer matrix that is invertible over Z."""
+    inv = frac_inverse(m)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not invertible over the integers")
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def mat_order(m, cap=10000):

@@ -21,7 +21,6 @@ from .root_coxeter import (
     type_a_as_permutation,
     type_d_as_signed_permutation,
     _standard_basis_change,
-    _frac_inverse,
 )
 
 
@@ -367,12 +366,6 @@ def enumerate_nc_b(n):
     return out
 
 
-def count_nc_b(n):
-    from math import comb
-
-    return comb(2 * n, n)
-
-
 # -- Athanasiadis-Reiner bijection -------------------------------------
 
 
@@ -473,11 +466,7 @@ def _signed_perm_to_element(rs, perm):
     for i in range(1, n + 1):
         img = perm.get(i, i)
         std[abs(img) - 1][i - 1] = 1 if img > 0 else -1
-    b = getattr(rs, "_coord_change", None)
-    if b is None:
-        b = rs._coord_change = _standard_basis_change(rs)
-        rs._coord_change_inv = _frac_inverse(b)
-    binv = rs._coord_change_inv
+    b, binv = _standard_basis_change(rs)
     prod = mat_mul(std, b)
     out = []
     for i in range(n):

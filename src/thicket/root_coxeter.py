@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import identity, mat_inverse, mat_mul, mat_sub, mat_vec, rank
+from .linalg import frac_inverse, identity, mat_inverse, mat_mul, mat_sub, mat_vec, rank
 
 
 class NotARoot(ValueError):
@@ -232,10 +232,6 @@ def reflection(rs, v):
     return GroupElement(rs._reflection_matrix(v))
 
 
-def coxeter_element(rs):
-    return rs.cox
-
-
 def absolute_length(rs, w):
     m = w.matrix
     cached = rs._length_cache.get(m)
@@ -353,15 +349,22 @@ def type_a_as_permutation(rs, w):
 
 
 def _standard_basis_change(rs):
-    """Columns are the simple roots of D_n in signed-coordinate form."""
-    n = rs.rank
-    b = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        b[i][i] = 1
-        b[i + 1][i] = -1
-    b[n - 2][n - 1] = 1
-    b[n - 1][n - 1] = 1
-    return tuple(tuple(row) for row in b)
+    """The D_n basis change b and its rational inverse (det b = 2).
+
+    Columns of b are the simple roots of D_n in signed-coordinate form.
+    """
+    cached = getattr(rs, "_coord_change", None)
+    if cached is None:
+        n = rs.rank
+        b = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            b[i][i] = 1
+            b[i + 1][i] = -1
+        b[n - 2][n - 1] = 1
+        b[n - 1][n - 1] = 1
+        b = tuple(tuple(row) for row in b)
+        cached = rs._coord_change = (b, frac_inverse(b))
+    return cached
 
 
 def type_d_as_signed_permutation(rs, w):
@@ -372,13 +375,7 @@ def type_d_as_signed_permutation(rs, w):
     if rs.delta.series != "D":
         raise WrongSeries("signed permutation model needs series D")
     n = rs.rank
-    b = getattr(rs, "_coord_change", None)
-    if b is None:
-        b = _standard_basis_change(rs)
-        binv = _frac_inverse(b)
-        rs._coord_change = b
-        rs._coord_change_inv = binv
-    binv = rs._coord_change_inv
+    b, binv = _standard_basis_change(rs)
     wb = mat_mul(b, w.matrix)
     std = tuple(
         tuple(sum(Fraction(wb[i][k]) * binv[k][j] for k in range(n)) for j in range(n))
@@ -393,23 +390,6 @@ def type_d_as_signed_permutation(rs, w):
         perm[j + 1] = (i + 1) * int(sign)
         perm[-(j + 1)] = -(i + 1) * int(sign)
     return perm
-
-
-def _frac_inverse(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-        s = a[c][c]
-        a[c] = [x / s for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 def permutation_cycles(perm):

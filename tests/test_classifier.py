@@ -17,6 +17,7 @@ from thicket.classifier import (
     classification_report,
     count_thick,
     count_thick_formula,
+    criterion_root_map,
     enumerate_thick,
     is_invariant_nc,
     overview_evaluate,
@@ -25,7 +26,13 @@ from thicket.classifier import (
     parameter_p,
     reduce_criterion,
 )
-from thicket.derived_engine import InvalidType, brute_force_classify
+from thicket.derived_engine import (
+    InvalidType,
+    brute_force_classify,
+    build_label_walk,
+    generator_map,
+    root_permutation,
+)
 from thicket.root_coxeter import DynkinType, build_root_system, enumerate_nc
 
 
@@ -94,6 +101,46 @@ def test_is_invariant_nc_basics():
     assert is_invariant_nc(rs, rs.cox, crit)
     count = sum(1 for w in enumerate_nc(rs) if is_invariant_nc(rs, w, crit))
     assert count == 6
+
+
+def test_triality_has_no_interval_level_criterion():
+    rs = build_root_system(DynkinType("D", 4))
+    crit = reduce_criterion(ct("D", 4, 1, 3))
+    with pytest.raises(ExcludedType):
+        is_invariant_nc(rs, rs.identity, crit)
+    assert enumerate_thick(ct("D", 4, 1, 3)) == brute_force_classify(ct("D", 4, 1, 3))
+
+
+def _orbits(perm):
+    out = set()
+    for a in perm:
+        orbit = {a}
+        b = perm[a]
+        while b != a:
+            orbit.add(b)
+            b = perm[b]
+        out.add(frozenset(orbit))
+    return out
+
+
+def test_paper_and_engine_root_maps_have_the_same_orbits():
+    # equal orbits give equal fixed root sets, so the interval-level
+    # criterion and the engine classify every such cell alike
+    for n in range(1, 7):
+        for series, rank, t in admissible_types_for_rank(n):
+            if t == 3:
+                continue
+            d = DynkinType(series, rank)
+            rs = build_root_system(d)
+            lab = build_label_walk(d)
+            for r in range(1, 2 * d.coxeter_number + 1):
+                c = ct(series, rank, r, t)
+                paper = _orbits(criterion_root_map(rs, reduce_criterion(c)))
+                engine = _orbits(root_permutation(lab, generator_map(c)))
+                if paper != engine:
+                    orbit = sorted(paper ^ engine, key=sorted)[0]
+                    side = "criterion" if orbit in paper else "engine"
+                    pytest.fail(f"{c}: {side} orbit {sorted(orbit)} is not an orbit of the other map")
 
 
 # -- enumeration ----------------------------------------------------------------

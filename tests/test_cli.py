@@ -130,6 +130,18 @@ def test_render_strip_files(tmp_path, capsys):
     assert (tmp_path / "strip0.txt").exists()
 
 
+@pytest.mark.parametrize("index", ["99", "-1"])
+def test_render_strip_index_out_of_range(tmp_path, capsys, index):
+    prefix = tmp_path / "strip"
+    code, out, err = run(
+        capsys, "render", "strip", "--series", "A", "--rank", "5", "--r", "4",
+        "--t", "1", "--index", index, "--out", str(prefix),
+    )
+    assert code == 2
+    assert "6 thick subcategories" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 # exit-code contract ------------------------------------------------------
 
 
@@ -158,4 +170,13 @@ def test_env_cap_blocks_large_e(capsys, monkeypatch):
         capsys, "classify", "--series", "E", "--rank", "7", "--r", "1", "--t", "1"
     )
     assert code == 2
+    assert "THICKET_MAX_RANK" in err
+
+
+def test_env_cap_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("THICKET_MAX_RANK", "abc")
+    code, _, err = run(
+        capsys, "classify", "--series", "E", "--rank", "6", "--r", "1", "--t", "1"
+    )
+    assert code == 1
     assert "THICKET_MAX_RANK" in err

@@ -6,6 +6,7 @@ import pytest
 
 from thicket.classifier import (
     CategoryType,
+    InvarianceCriterion,
     NoClosedForm,
     admissible_types_for_rank,
     count_thick_formula,
@@ -102,6 +103,18 @@ def test_conjugation_criterion_matches_sigma_rho_power_type_d(n):
             for _ in range(crit.s):
                 q = sigma(rho(q))
             assert group_side == (q == p)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_even_d_criterion_is_the_partition_statement(n):
+    # the paper's even-D, order-2 criterion: f(w) is fixed by sigma^(s+1) rho^s
+    d = DynkinType("D", n)
+    rs = build_root_system(d)
+    parts = [(w, ar_bijection_f(rs, w)) for w in enumerate_nc(rs)]
+    for s in range(d.coxeter_number):
+        crit = InvarianceCriterion("sigma_rho_power", s)
+        for w, p in parts:
+            assert is_invariant_nc(rs, w, crit) == (sigma_rho_power(p, s) == p), (s, p)
 
 
 def test_sigma_power_parity_bookkeeping():

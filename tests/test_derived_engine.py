@@ -3,6 +3,7 @@ import pytest
 from thicket.classifier import CategoryType
 from thicket.derived_engine import (
     InvalidType,
+    MixedRoots,
     QuiverAutomorphism,
     apply_map_to_descriptor,
     brute_force_classify,
@@ -230,6 +231,16 @@ def test_root_permutation_matches_vertex_scan():
         desc = thick_from_nc(rs, w)
         fast = all(perm[r] in desc.roots for r in desc.roots)
         assert fast == is_invariant_vertex_set(lab, desc, g)
+
+
+def test_root_permutation_rejects_a_map_that_mixes_roots():
+    # swapping two columns without offsets is no automorphism of ZA3
+    lab = build_label_walk(DynkinType("A", 3))
+    g = QuiverAutomorphism(3, (2, 1, 3), (0, 0, 0), "swap")
+    with pytest.raises(MixedRoots):
+        root_permutation(lab, g)
+    # an internal fault, never "invalid mathematical input"
+    assert not issubclass(MixedRoots, ValueError)
 
 
 # -- brute force anchors -------------------------------------------------------

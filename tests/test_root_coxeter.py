@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from thicket.linalg import identity, mat_mul, mat_order, mat_sub, rank
+from thicket.linalg import frac_inverse, identity, mat_inverse, mat_mul, mat_order, mat_sub, rank
 from thicket.root_coxeter import (
     DynkinType,
     GroupElement,
@@ -12,7 +13,6 @@ from thicket.root_coxeter import (
     WrongSeries,
     absolute_length,
     build_root_system,
-    coxeter_element,
     enumerate_nc,
     group_element_to_json,
     leq_absolute,
@@ -120,6 +120,15 @@ def test_reflection_rejects_non_roots():
     rs = build_root_system(DynkinType("A", 2))
     with pytest.raises(NotARoot):
         reflection(rs, (2, 0))
+
+
+def test_exact_inverses():
+    assert frac_inverse(((2, 0), (1, 1))) == ((Fraction(1, 2), 0), (Fraction(-1, 2), 1))
+    assert mat_inverse(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    with pytest.raises(ValueError):
+        mat_inverse(((2, 0), (1, 1)))  # invertible over Q only
+    with pytest.raises(ValueError):
+        frac_inverse(((1, 2), (2, 4)))  # singular
 
 
 def test_coxeter_element_order_is_coxeter_number():
