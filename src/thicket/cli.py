@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 invalid mathematical input,
 import argparse
 import json
 import os
+import re
 import sys
 from math import comb, gcd
 
@@ -21,7 +22,6 @@ from .classifier import (
     overview_table,
 )
 from .derived_engine import (
-    InvalidType,
     brute_force_classify,
     build_label_walk,
     cluster_category_check,
@@ -32,6 +32,7 @@ from .ncp_models import (
     BadDivisor,
     Crossing,
     DPartition,
+    NotAPartition,
     NotInvariant,
     SetPartitionA,
     ar_bijection_f,
@@ -44,6 +45,7 @@ from .ncp_models import (
 )
 from .root_coxeter import (
     DynkinType,
+    InvalidType,
     NotARoot,
     NotInInterval,
     WrongSeries,
@@ -72,11 +74,11 @@ _MATH_ERRORS = (
     Crossing,
     NotInvariant,
     BadDivisor,
+    NotAPartition,
     classifier.ExcludedType,
     classifier.NotAsashibaType,
     render.WindowTooLarge,
     IndexOutOfRange,
-    ValueError,
 )
 
 
@@ -93,6 +95,27 @@ def max_e_rank():
         return int(raw)
     except ValueError:
         raise UsageError(f"THICKET_MAX_RANK must be an integer, got {raw!r}") from None
+
+
+def _positive_int(raw):
+    if not re.fullmatch(r"\d+", raw) or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _window(raw):
+    match = re.fullmatch(r"(-?\d+):(-?\d+)", raw)
+    if not match or int(match[1]) >= int(match[2]):
+        raise argparse.ArgumentTypeError(f"expected lo:hi with integers lo < hi, got {raw!r}")
+    return int(match[1]), int(match[2])
+
+
+def _blocks(raw):
+    try:
+        return tuple(tuple(int(x) for x in part.split(",") if x.strip()) for part in raw.split("|"))
+    except ValueError:
+        msg = f"expected comma lists of integers joined by '|', got {raw!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _category_type(args):
@@ -119,7 +142,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="list circular partitions as JSON lines")
     p.add_argument("--model", required=True, choices=["A", "B", "D"])
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_positive_int)
 
     p = sub.add_parser("classify", help="emit one descriptor JSON per thick subcategory")
     _add_type_flags(p)
@@ -130,14 +153,14 @@ def build_parser():
     c = rsub.add_parser("circle")
     c.add_argument("--model", required=True, choices=["A", "D"])
     c.add_argument("--n", required=True, type=int)
-    c.add_argument("--blocks", required=True,
+    c.add_argument("--blocks", required=True, type=_blocks,
                    help="blocks as comma lists joined by '|', e.g. '1,4|2,3|5'")
     c.add_argument("--out", required=True)
     s = rsub.add_parser("strip")
     _add_type_flags(s)
     s.add_argument("--index", type=int, default=None,
                    help="which thick subcategory (enumeration order); all if omitted")
-    s.add_argument("--window", default=None, help="column range lo:hi")
+    s.add_argument("--window", type=_window, default=None, help="column range lo:hi")
     s.add_argument("--out", required=True, help="output file prefix")
 
     p = sub.add_parser("table", help="overview of criteria and counts per type")
@@ -188,8 +211,6 @@ def cmd_count(args):
 
 
 def cmd_enumerate(args):
-    if args.n < 1:
-        raise ValueError("n must be positive")
     if args.model == "A":
         for p in enumerate_nc_a(args.n):
             print(json.dumps(p.to_json()))
@@ -214,32 +235,20 @@ def cmd_classify(args):
     return 0
 
 
-def _parse_blocks(raw):
-    blocks = []
-    for part in raw.split("|"):
-        blocks.append(tuple(int(x) for x in part.split(",") if x.strip()))
-    return tuple(blocks)
-
-
 def cmd_render(args):
     if args.what == "circle":
-        blocks = _parse_blocks(args.blocks)
         if args.model == "A":
-            p = SetPartitionA(args.n, blocks)
+            p = SetPartitionA(args.n, args.blocks)
             svg = render.render_circle(p, kind="A")
         else:
-            p = DPartition(args.n, blocks)
+            p = DPartition(args.n, args.blocks)
             svg = render.render_circle(p, kind="D")
         with open(args.out, "w") as fh:
             fh.write(svg)
         print(args.out)
         return 0
     ct = _category_type(args)
-    h = ct.delta.coxeter_number
-    window = (0, 2 * h)
-    if args.window:
-        lo, hi = args.window.split(":")
-        window = (int(lo), int(hi))
+    window = args.window or (0, 2 * ct.delta.coxeter_number)
     descs = enumerate_thick(ct)
     if args.index is not None and not 0 <= args.index < len(descs):
         raise IndexOutOfRange(

@@ -19,16 +19,13 @@ from functools import lru_cache
 from .linalg import mat_inverse, mat_vec
 from .root_coxeter import (
     DynkinType,
+    InvalidType,
     NotInInterval,
     arrows,
     build_root_system,
     enumerate_nc,
     roots_below,
 )
-
-
-class InvalidType(ValueError):
-    pass
 
 
 class MixedRoots(RuntimeError):

@@ -36,6 +36,10 @@ class BadDivisor(ValueError):
     pass
 
 
+class NotAPartition(ValueError):
+    """Blocks that do not form a partition of the model's label set."""
+
+
 def _canonical(blocks):
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
@@ -48,18 +52,8 @@ class SetPartitionA:
     def __post_init__(self):
         seen = [x for b in self.blocks for x in b]
         if sorted(seen) != list(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not partition [{self.n}]")
+            raise NotAPartition(f"blocks do not partition [{self.n}]")
         object.__setattr__(self, "blocks", _canonical(self.blocks))
-
-    @staticmethod
-    def of(n, blocks):
-        return SetPartitionA(n, _canonical(blocks))
-
-    def block_of(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
 
     def to_json(self):
         return {"model": "A", "n": self.n, "blocks": [list(b) for b in self.blocks]}
@@ -280,19 +274,19 @@ def _validate_mirror(n, blocks, allow_single_pair):
     seen = [x for b in blocks for x in b]
     universe = [x for i in range(1, n + 1) for x in (i, -i)]
     if sorted(seen) != sorted(universe):
-        raise ValueError(f"blocks do not partition [±{n}]")
+        raise NotAPartition(f"blocks do not partition [±{n}]")
     block_set = set(blocks)
     zero = []
     for b in blocks:
         neg = tuple(sorted(-x for x in b))
         if neg not in block_set:
-            raise ValueError("mirror of a block is missing")
+            raise NotAPartition("mirror of a block is missing")
         if neg == b:
             zero.append(b)
     if len(zero) > 1:
-        raise ValueError("more than one zero block")
+        raise NotAPartition("more than one zero block")
     if zero and not allow_single_pair and len(zero[0]) == 2:
-        raise ValueError("zero block must not be a single pair")
+        raise NotAPartition("zero block must not be a single pair")
     return zero[0] if zero else None
 
 
@@ -320,7 +314,7 @@ class DPartition:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError("D model needs n >= 4")
+            raise NotAPartition("D model needs n >= 4")
         object.__setattr__(self, "blocks", _canonical(self.blocks))
         _validate_mirror(self.n, self.blocks, allow_single_pair=False)
 

@@ -1,10 +1,13 @@
 """Root systems, reflection groups and the noncrossing partition interval.
 
 Group elements are exact integer matrices acting on the root lattice in
-the simple-root basis.  Reflection length is the rank of w - id, the
-absolute order is decided by length additivity, and the interval below
-the Coxeter element is enumerated by breadth-first search so the full
-group is never materialized.
+the simple-root basis.  Reflection length is the rank of w - id and the
+absolute order is decided by length additivity.  The interval below the
+Coxeter element and the root set of each of its elements come from one
+breadth-first search, so the full group is never materialized: the
+children of w are the products w t for the reflections t below w^-1 cox,
+and the root set of an element is the set of reflections that reach it
+from the layer below.
 """
 
 from dataclasses import dataclass
@@ -12,6 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import frac_inverse, identity, mat_inverse, mat_mul, mat_sub, mat_vec, rank
+
+
+class InvalidType(ValueError):
+    pass
 
 
 class NotARoot(ValueError):
@@ -37,13 +44,13 @@ class DynkinType:
 
     def __post_init__(self):
         if self.series not in ("A", "D", "E"):
-            raise ValueError(f"unknown series {self.series!r}")
+            raise InvalidType(f"unknown series {self.series!r}")
         if self.series == "A" and self.rank < 1:
-            raise ValueError("series A needs rank >= 1")
+            raise InvalidType("series A needs rank >= 1")
         if self.series == "D" and self.rank < 4:
-            raise ValueError("series D needs rank >= 4")
+            raise InvalidType("series D needs rank >= 4")
         if self.series == "E" and self.rank not in _E_RANKS:
-            raise ValueError("series E needs rank in {6, 7, 8}")
+            raise InvalidType("series E needs rank in {6, 7, 8}")
 
     @property
     def coxeter_number(self):
@@ -130,9 +137,7 @@ class RootSystem:
         )
         assert self.cox.matrix == expected
         self.identity = GroupElement(identity(n))
-        self._length_cache = {}
-        self._roots_below_cache = {}
-        self._nc_cache = None
+        self._interval_cache = None
 
     # -- construction ------------------------------------------------
 
@@ -233,12 +238,8 @@ def reflection(rs, v):
 
 
 def absolute_length(rs, w):
-    m = w.matrix
-    cached = rs._length_cache.get(m)
-    if cached is None:
-        cached = rank(mat_sub(m, identity(rs.rank)))
-        rs._length_cache[m] = cached
-    return cached
+    """Reflection length of w: the rank of w - id."""
+    return rank(mat_sub(w.matrix, identity(rs.rank)))
 
 
 def leq_absolute(rs, u, w):
@@ -251,40 +252,47 @@ def leq_absolute(rs, u, w):
     return lu + absolute_length(rs, uw) == lw
 
 
-def enumerate_nc(rs):
-    """All w with id <= w <= cox, ordered by reflection length then matrix."""
-    if rs._nc_cache is not None:
-        return rs._nc_cache
+def _interval(rs):
+    """[id, cox] as a dict from each element's matrix to its root set,
+    ordered by reflection length, then matrix; built once per root system.
+
+    Each w is carried with x = w^-1 cox.  wt is one layer up exactly when
+    l(t x) = n - depth, as l(wt) <= depth and l(wt) + l(t x) >= n.  Each
+    s_a <= v reaches v from the layer below, as v = (v s_a) s_a.
+    """
+    if rs._interval_cache is not None:
+        return rs._interval_cache
     n = rs.rank
     eye = identity(n)
-    coxm = rs.cox.matrix
-    refls = [rs._reflection_matrix(v) for v in rs.positives]
-    out = [rs.identity]
-    seen = {eye}
-    layer = [(eye, eye)]
+    refls = [(v, rs._reflection_matrix(v)) for v in rs.positives]
+    table = {eye: frozenset()}
+    layer = [(eye, rs.cox.matrix)]
     for depth in range(1, n + 1):
-        nxt = []
-        for w, winv in layer:
-            for t in refls:
+        found = {}  # wt -> (t x, roots reaching wt)
+        for w, x in layer:
+            for v, t in refls:
                 wt = mat_mul(w, t)
-                if wt in seen:
-                    continue
-                if rank(mat_sub(wt, eye)) != depth:
-                    continue
-                wtinv = mat_mul(t, winv)
-                if depth + rank(mat_sub(mat_mul(wtinv, coxm), eye)) != n:
-                    continue
-                seen.add(wt)
-                rs._length_cache[wt] = depth
-                nxt.append((wt, wtinv))
-        layer = nxt
-        out.extend(GroupElement(w) for w, _ in sorted(layer))
-    rs._nc_cache = tuple(out)
-    return rs._nc_cache
+                if wt not in found:
+                    tx = mat_mul(t, x)
+                    if rank(mat_sub(tx, eye)) != n - depth:
+                        continue
+                    found[wt] = (tx, [])
+                found[wt][1].append(v)
+        layer = sorted((wt, tx) for wt, (tx, _) in found.items())
+        for wt, _ in layer:
+            table[wt] = frozenset(found[wt][1])
+    rs._interval_cache = table
+    return table
+
+
+@lru_cache(maxsize=None)
+def enumerate_nc(rs):
+    """All w with id <= w <= cox, ordered by reflection length then matrix."""
+    return tuple(map(GroupElement, _interval(rs)))
 
 
 def in_nc(rs, w):
-    return leq_absolute(rs, w, rs.cox)
+    return w.matrix in _interval(rs)
 
 
 def roots_below(rs, w):
@@ -293,21 +301,12 @@ def roots_below(rs, w):
     This is the root-set model of the subcategory attached to w: the
     dimension vectors of its indecomposables.
     """
-    m = w.matrix
-    cached = rs._roots_below_cache.get(m)
-    if cached is not None:
-        return cached
-    if not in_nc(rs, w):
+    # read the cache first: every classification makes this lookup for
+    # every interval element, and the call to _interval costs a quarter of it
+    roots = (rs._interval_cache or _interval(rs)).get(w.matrix)
+    if roots is None:
         raise NotInInterval(f"element is not in the interval below cox({rs.delta})")
-    lw = absolute_length(rs, w)
-    out = []
-    for v in rs.positives:
-        sv = rs._reflection_matrix(v)
-        if 1 + rank(mat_sub(mat_mul(sv, m), identity(rs.rank))) == lw:
-            out.append(v)
-    result = frozenset(out)
-    rs._roots_below_cache[m] = result
-    return result
+    return roots
 
 
 # -- permutation specializations --------------------------------------

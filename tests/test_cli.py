@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from thicket import classifier
+from thicket import classifier, cli
 from thicket.cli import main
 
 
@@ -162,6 +162,33 @@ def test_invalid_partition_exit_code(capsys):
         "--blocks", "1,2|2,3", "--out", "/tmp/never.svg",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--window", ["render", "strip", "--series", "A", "--rank", "3", "--r", "1", "--t", "1",
+                  "--window", "3"]),
+    ("--window", ["render", "strip", "--series", "A", "--rank", "3", "--r", "1", "--t", "1",
+                  "--window", "a:b"]),
+    ("--window", ["render", "strip", "--series", "A", "--rank", "3", "--r", "1", "--t", "1",
+                  "--window", "5:5"]),
+    ("--blocks", ["render", "circle", "--model", "A", "--n", "3", "--blocks", "1,x|2"]),
+    ("--n", ["enumerate", "--model", "A", "--n", "0"]),
+])
+def test_malformed_flag_is_a_usage_error(tmp_path, capsys, flag, argv):
+    out_flag = [] if argv[0] == "enumerate" else ["--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv, *out_flag)
+    assert code == 1
+    assert f"argument {flag}:" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_internal_value_error_is_not_invalid_input(monkeypatch):
+    def broken(n):
+        raise ValueError("injected internal fault")
+
+    monkeypatch.setattr(cli, "enumerate_nc_a", broken)
+    with pytest.raises(ValueError, match="injected internal fault"):
+        main(["enumerate", "--model", "A", "--n", "3"])
 
 
 def test_env_cap_blocks_large_e(capsys, monkeypatch):

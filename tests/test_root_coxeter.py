@@ -15,6 +15,7 @@ from thicket.root_coxeter import (
     build_root_system,
     enumerate_nc,
     group_element_to_json,
+    in_nc,
     leq_absolute,
     permutation_cycles,
     reflection,
@@ -330,6 +331,23 @@ def test_roots_below_generate_the_element():
                         nxt.append(mt)
             frontier = nxt
         assert w.matrix in seen
+
+
+@pytest.mark.parametrize("spec", [("A", 4), ("D", 4), ("D", 5)])
+def test_roots_below_matches_the_absolute_order(spec):
+    rs = build_root_system(DynkinType(*spec))
+    refls = {v: reflection(rs, v) for v in rs.positives}
+    for w in enumerate_nc(rs):
+        expected = {v for v, t in refls.items() if leq_absolute(rs, t, w)}
+        assert roots_below(rs, w) == expected
+
+
+@pytest.mark.parametrize("spec", [("A", 3), ("D", 4)])
+def test_in_nc_matches_the_absolute_order_on_the_whole_group(spec):
+    rs = build_root_system(DynkinType(*spec))
+    for m in _whole_group_with_lengths(rs):
+        g = GroupElement(m)
+        assert in_nc(rs, g) == leq_absolute(rs, g, rs.cox)
 
 
 def test_roots_below_rejects_elements_outside_interval():

@@ -11,7 +11,7 @@ import pytest
 
 from thicket.classifier import CategoryType, enumerate_thick
 from thicket.derived_engine import brute_force_classify, build_label_walk
-from thicket.root_coxeter import DynkinType, build_root_system, enumerate_nc
+from thicket.root_coxeter import DynkinType, build_root_system, enumerate_nc, roots_below
 
 CAP = int(os.environ.get("THICKET_MAX_RANK", "6"))
 
@@ -30,7 +30,10 @@ def degree_count(h, degrees):
 def test_e7_interval_and_classification():
     d = DynkinType("E", 7)
     rs = build_root_system(d)
-    assert len(enumerate_nc(rs)) == degree_count(18, (2, 6, 8, 10, 12, 14, 18)) == 4160
+    elements = enumerate_nc(rs)
+    assert len(elements) == degree_count(18, (2, 6, 8, 10, 12, 14, 18)) == 4160
+    assert len({roots_below(rs, w) for w in elements}) == 4160
+    assert roots_below(rs, rs.cox) == frozenset(rs.positives)
     lab = build_label_walk(d)
     for shift in (0, 1):
         assert sorted(lab.layer_roots(shift)) == sorted(rs.positives)
