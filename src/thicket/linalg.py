@@ -6,6 +6,8 @@ fractions.Fraction internally, so results are exact.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 
 def identity(n):
@@ -13,17 +15,12 @@ def identity(n):
 
 
 def mat_mul(a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0])
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(row[t] * col[t] for t in range(k)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_pow(a, k):
@@ -74,6 +71,43 @@ def rank(m):
         if r == rows:
             break
     return r
+
+
+def kernel(m):
+    """Basis of the null space of m over the rationals, as primitive
+    integer vectors: one per free column, with a positive entry there.
+
+    Fraction-free Gauss-Jordan elimination: each pivot row is subtracted
+    from the others by cross-multiplication and every row is divided by
+    the gcd of its entries, so no fraction appears and entries stay small.
+    """
+    a = [list(row) for row in m]
+    cols = len(a[0])
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f:
+                row = [p[c] * x - f * y for x, y in zip(row, p)]
+                g = gcd(*row) or 1
+                a[i] = [x // g for x in row]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        scale = lcm(*(a[r][c] for r, c in enumerate(pivots) if a[r][free]))
+        v = [0] * cols
+        v[free] = scale
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][free] * scale // a[r][c]
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return tuple(basis)
 
 
 def frac_inverse(m):

@@ -2,19 +2,31 @@
 
 Group elements are exact integer matrices acting on the root lattice in
 the simple-root basis.  Reflection length is the rank of w - id and the
-absolute order is decided by length additivity.  The interval below the
-Coxeter element and the root set of each of its elements come from one
-breadth-first search, so the full group is never materialized: the
-children of w are the products w t for the reflections t below w^-1 cox,
-and the root set of an element is the set of reflections that reach it
-from the layer below.
+absolute order is decided by length additivity; these are the reference
+definitions.  The interval below the Coxeter element and the root set of
+each of its elements come from one breadth-first search, so the full
+group is never materialized: the children of w are the products w t for
+the reflections t below x = w^-1 cox, and the root set of an element is
+the set of reflections that reach it from the layer below.  The search
+ranks nothing.  By Carter's lemma l(x) = dim Mov(x), and by Brady-Watt
+(2002) s_a <= x iff a is orthogonal to Fix(x) = ker(x - 1), so one
+integer kernel of x - 1 per element gives all its children at once.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import frac_inverse, identity, mat_inverse, mat_mul, mat_sub, mat_vec, rank
+from .linalg import (
+    frac_inverse,
+    identity,
+    kernel,
+    mat_inverse,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    rank,
+)
 
 
 class InvalidType(ValueError):
@@ -31,6 +43,15 @@ class NotInInterval(ValueError):
 
 class WrongSeries(ValueError):
     pass
+
+
+class BrokenInvariant(RuntimeError):
+    """An internal invariant failed: a fault of the program, not of its input."""
+
+
+def _require(ok, message):
+    if not ok:
+        raise BrokenInvariant(message)
 
 
 _E_RANKS = (6, 7, 8)
@@ -121,6 +142,8 @@ class RootSystem:
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
         self.positives = self._close_roots()
+        # row i is B a_i: (a_i, v) = row i . v for every positive root a_i
+        self._root_forms = tuple(mat_vec(self.sym_form, v) for v in self.positives)
         self._simple_reflections = tuple(
             self._reflection_matrix(s) for s in self.simples
         )
@@ -135,7 +158,7 @@ class RootSystem:
             tuple(-x for x in row)
             for row in mat_mul(euler_inv, tuple(zip(*self.euler_form)))
         )
-        assert self.cox.matrix == expected
+        _require(self.cox.matrix == expected, f"Coxeter element of {delta} is not -E^-1 E^T")
         self.identity = GroupElement(identity(n))
         self._interval_cache = None
 
@@ -172,8 +195,14 @@ class RootSystem:
             frontier = new
         positives = sorted(v for v in roots if all(x >= 0 for x in v))
         expected = self._expected_positive_count()
-        assert len(positives) == expected, (self.delta, len(positives))
-        assert all(self.pairing(v, v) == 2 for v in positives)
+        _require(
+            len(positives) == expected,
+            f"{self.delta} has {len(positives)} positive roots, expected {expected}",
+        )
+        _require(
+            all(self.pairing(v, v) == 2 for v in positives),
+            f"a positive root of {self.delta} does not have norm 2",
+        )
         return tuple(positives)
 
     def _expected_positive_count(self):
@@ -202,7 +231,7 @@ class RootSystem:
                 if indeg[w] == 0:
                     ready.append(w)
             ready.sort()
-        assert len(order) == n
+        _require(len(order) == n, f"the quiver of {self.delta} has an oriented cycle")
         return order
 
     # -- basic queries -----------------------------------------------
@@ -252,13 +281,28 @@ def leq_absolute(rs, u, w):
     return lu + absolute_length(rs, uw) == lw
 
 
+def _reflections_below(rs, x):
+    """Bitmask over rs.positives of the roots a with s_a <= x.
+
+    For an orthogonal x, Mov(x) = im(x - 1) = Fix(x)^perp and l(x) =
+    dim Mov(x) (Carter's lemma), so s_a <= x iff a is orthogonal to
+    ker(x - 1) (Brady-Watt 2002): one mask per kernel vector, ANDed.
+    """
+    below = (1 << len(rs.positives)) - 1
+    for k in kernel(mat_sub(x, rs.identity.matrix)):
+        below &= sum(1 << i for i, d in enumerate(mat_vec(rs._root_forms, k)) if d == 0)
+    return below
+
+
 def _interval(rs):
     """[id, cox] as a dict from each element's matrix to its root set,
     ordered by reflection length, then matrix; built once per root system.
 
-    Each w is carried with x = w^-1 cox.  wt is one layer up exactly when
-    l(t x) = n - depth, as l(wt) <= depth and l(wt) + l(t x) >= n.  Each
-    s_a <= v reaches v from the layer below, as v = (v s_a) s_a.
+    Each w is carried with x = w^-1 cox.  As l(wt) <= l(w) + 1 and
+    l(wt) + l(t x) >= n, wt is one layer up exactly when l(t x) =
+    l(x) - 1, that is when t <= x.  So one integer kernel of x - 1
+    (_reflections_below) gives every child and no candidate is rejected.
+    Each s_a <= v reaches v from the layer below, as v = (v s_a) s_a.
     """
     if rs._interval_cache is not None:
         return rs._interval_cache
@@ -267,16 +311,16 @@ def _interval(rs):
     refls = [(v, rs._reflection_matrix(v)) for v in rs.positives]
     table = {eye: frozenset()}
     layer = [(eye, rs.cox.matrix)]
-    for depth in range(1, n + 1):
+    for _ in range(n):
         found = {}  # wt -> (t x, roots reaching wt)
         for w, x in layer:
-            for v, t in refls:
+            below = _reflections_below(rs, x)
+            for i, (v, t) in enumerate(refls):
+                if not below >> i & 1:
+                    continue
                 wt = mat_mul(w, t)
                 if wt not in found:
-                    tx = mat_mul(t, x)
-                    if rank(mat_sub(tx, eye)) != n - depth:
-                        continue
-                    found[wt] = (tx, [])
+                    found[wt] = (mat_mul(t, x), [])
                 found[wt][1].append(v)
         layer = sorted((wt, tx) for wt, (tx, _) in found.items())
         for wt, _ in layer:
@@ -337,12 +381,12 @@ def type_a_as_permutation(rs, w):
     base = []
     for i in range(n + 1):
         num = 1 - total[i]
-        assert num % (n + 1) == 0
+        _require(num % (n + 1) == 0, "element does not act as a permutation")
         base.append(num // (n + 1))
     perm = []
     for j in range(1, n + 2):
         img = [base[i] + cs[j][i] for i in range(n + 1)]
-        assert sorted(img) == [0] * n + [1]
+        _require(sorted(img) == [0] * n + [1], "element does not act as a permutation")
         perm.append(img.index(1) + 1)
     return tuple(perm)
 
@@ -384,7 +428,10 @@ def type_d_as_signed_permutation(rs, w):
     for j in range(n):
         col = [std[i][j] for i in range(n)]
         nz = [(i, x) for i, x in enumerate(col) if x != 0]
-        assert len(nz) == 1 and abs(nz[0][1]) == 1, "not a signed permutation"
+        _require(
+            len(nz) == 1 and abs(nz[0][1]) == 1,
+            "element does not act as a signed permutation",
+        )
         i, sign = nz[0]
         perm[j + 1] = (i + 1) * int(sign)
         perm[-(j + 1)] = -(i + 1) * int(sign)

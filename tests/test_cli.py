@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import thicket
 from thicket import classifier, cli
 from thicket.cli import main
 
@@ -93,6 +97,28 @@ def test_verify_small(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_json_covers_series_e(capsys, monkeypatch):
+    monkeypatch.setenv("THICKET_MAX_RANK", "6")
+    code, out, _ = run(capsys, "verify", "--max-rank", "3", "--json")
+    assert code == 0
+    results, _ = json.JSONDecoder().raw_decode(out[out.index("[\n"):])
+    detail = {r["check"]: r["detail"] for r in results}["check_classification"]
+    assert "series E (E6)" in detail
+    assert "(D4, r, 3)" in detail and "oracle-only" in detail
+
+
+def test_verify_passes_with_assertions_stripped():
+    # the invariants of root_coxeter are checked by code, not by assert
+    src = os.path.dirname(os.path.dirname(thicket.__file__))
+    env = dict(os.environ, PYTHONPATH=src, THICKET_MAX_RANK="6")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "thicket", "verify", "--max-rank", "3"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout
 
 
 def test_table_markdown(capsys):

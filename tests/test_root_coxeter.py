@@ -1,15 +1,30 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from thicket.linalg import frac_inverse, identity, mat_inverse, mat_mul, mat_order, mat_sub, rank
+from thicket import root_coxeter
+from thicket.linalg import (
+    frac_inverse,
+    identity,
+    kernel,
+    mat_inverse,
+    mat_mul,
+    mat_order,
+    mat_sub,
+    mat_vec,
+    rank,
+)
 from thicket.root_coxeter import (
+    BrokenInvariant,
     DynkinType,
     GroupElement,
     NotARoot,
     NotInInterval,
+    RootSystem,
     WrongSeries,
     absolute_length,
     build_root_system,
@@ -350,6 +365,39 @@ def test_in_nc_matches_the_absolute_order_on_the_whole_group(spec):
         assert in_nc(rs, g) == leq_absolute(rs, g, rs.cox)
 
 
+@pytest.mark.parametrize("spec", [("A", 4), ("D", 4), ("D", 5)])
+def test_kernel_mask_matches_the_absolute_order(spec):
+    # the Carter / Brady-Watt test behind the search, against the
+    # length-additivity definition, for every x = w^-1 cox of the interval
+    rs = build_root_system(DynkinType(*spec))
+    refls = [reflection(rs, v) for v in rs.positives]
+    for w in enumerate_nc(rs):
+        x = w.inverse() * rs.cox
+        below = root_coxeter._reflections_below(rs, x.matrix)
+        for i, t in enumerate(refls):
+            assert bool(below >> i & 1) == leq_absolute(rs, t, x)
+
+
+# sha256 of the JSON of [matrix, sorted root set] over the table, in order,
+# as the rank-per-candidate search built it; the kernel search must agree
+INTERVAL_DIGESTS = {
+    ("A", 5): "6faeb918c620dd4f4962f6c96471361b9ead024d5724e21ddc646086cdd8fbf2",
+    ("D", 6): "b7c9d1134c648231ae86bcff491f60d41d6b737e715f6d43cf74a9771ad732e2",
+    ("E", 6): "23e1a09311be0e7748f8e5067ffec965b4b65fc220e3b3ca1c0bc9fcf7372eca",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(INTERVAL_DIGESTS))
+def test_interval_table_digest(spec):
+    rs = build_root_system(DynkinType(*spec))
+    doc = [
+        [[list(row) for row in m], sorted(list(v) for v in roots)]
+        for m, roots in root_coxeter._interval(rs).items()
+    ]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == INTERVAL_DIGESTS[spec]
+
+
 def test_roots_below_rejects_elements_outside_interval():
     rs = build_root_system(DynkinType("A", 2))
     s1 = rs.simple_reflection(1)
@@ -453,3 +501,40 @@ def test_bareiss_rank_against_fraction_elimination():
             tuple(rng.randint(-4, 4) for _ in range(5)) for _ in range(5)
         )
         assert rank(m) == frac_rank(m)
+
+
+def _random_matrix(rng, rows, cols, rank_):
+    """Integer rows x cols matrix of the given rank (a product of factors)."""
+    left = [[rng.randint(-3, 3) for _ in range(rank_)] for _ in range(rows)]
+    right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank_)]
+    return mat_mul(left, right) if rank_ else tuple((0,) * cols for _ in range(rows))
+
+
+def test_kernel_is_a_primitive_integer_null_basis():
+    rng = random.Random(11)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        basis = kernel(m)
+        assert len(basis) == cols - rank(m)
+        if basis:
+            assert rank(basis) == len(basis)
+        for k in basis:
+            assert len(k) == cols and all(isinstance(x, int) for x in k)
+            assert gcd(*k) == 1
+            assert mat_vec(m, k) == (0,) * rows
+
+
+def test_kernel_of_zero_and_identity():
+    for n in (1, 3, 5):
+        assert kernel(tuple((0,) * n for _ in range(n))) == identity(n)
+        assert kernel(identity(n)) == ()
+    assert kernel(((2, 4),)) == ((-2, 1),)
+
+
+def test_broken_invariant_is_a_named_runtime_error(monkeypatch):
+    monkeypatch.setitem(root_coxeter._POSITIVE_COUNTS["E"], 6, 35)
+    with pytest.raises(BrokenInvariant, match="36 positive roots, expected 35"):
+        RootSystem(DynkinType("E", 6))
+    assert issubclass(BrokenInvariant, RuntimeError)
+    assert not issubclass(BrokenInvariant, ValueError)
