@@ -296,7 +296,10 @@ def cmd_table(args):
 def _check_partition_counts(max_rank):
     n = max(4, min(8, max_rank + 3))
     ok = all(len(enumerate_nc_a(k)) == classifier.catalan(k) for k in range(1, n + 1))
-    return ok, f"A-model counts match Catalan numbers up to n={n}"
+    ok = ok and all(len(enumerate_nc_b(k)) == comb(2 * k, k) for k in range(1, n + 1))
+    return ok, (
+        f"A-model counts match Catalan numbers and B-model counts match binom(2k, k) up to n={n}"
+    )
 
 
 def _check_interval_counts(max_rank):

@@ -25,6 +25,7 @@ from .root_coxeter import (
     build_root_system,
     enumerate_nc,
     roots_below,
+    _require,
 )
 
 
@@ -150,18 +151,18 @@ def _solve_offsets(delta, perm, normalize):
 
     if normalize == "involution":
         num = -(off[0] + off[perm[0] - 1])
-        assert num % 2 == 0
+        _require(num % 2 == 0, "the involution normalization has an odd shift numerator")
         shift = num // 2
     elif normalize == "square_is_translation":
         # phi^2 = (m - 1, q), the A-even normalization
         num = -1 - (off[0] + off[perm[0] - 1])
-        assert num % 2 == 0
+        _require(num % 2 == 0, "the square_is_translation normalization has an odd shift numerator")
         shift = num // 2
     elif normalize == "order3":
         orb = orbit(1)
-        assert len(orb) == 3
+        _require(len(orb) == 3, f"an order-3 map has a first orbit of length {len(orb)}")
         num = -sum(off[q - 1] for q in orb)
-        assert num % 3 == 0
+        _require(num % 3 == 0, "the order3 normalization has a shift numerator prime to 3")
         shift = num // 3
     else:
         raise ValueError(normalize)
@@ -171,11 +172,12 @@ def _solve_offsets(delta, perm, normalize):
         orb = orbit(q)
         total = sum(out[t - 1] for t in orb)
         if normalize == "involution":
-            assert len(orb) <= 2 and total == 0
+            ok = len(orb) <= 2 and total == 0
         elif normalize == "square_is_translation":
-            assert total == -1 and len(orb) == 2
-        elif normalize == "order3":
-            assert total == 0
+            ok = total == -1 and len(orb) == 2
+        else:
+            ok = total == 0
+        _require(ok, f"the {normalize} normalization fails on the orbit of column {q}")
     return out
 
 
@@ -264,7 +266,7 @@ class Labeling:
         proj = mat_inverse(rs.euler_form)
         self.projectives = tuple(tuple(row) for row in proj)
         for row in self.projectives:
-            assert row in rs.positives, "projective seed is not a positive root"
+            _require(row in rs.positives, "projective seed is not a positive root")
         self._root_col = []
         self._shift_col = []
         for q in range(1, n + 1):

@@ -130,12 +130,19 @@ def frac_inverse(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
+def scaled_inverse(m):
+    """(d m^-1, d) for the least d > 0 making d m^-1 an integer matrix."""
+    inv = frac_inverse(m)
+    d = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * d) for x in row) for row in inv), d
+
+
 def mat_inverse(m):
     """Exact inverse of an integer matrix that is invertible over Z."""
-    inv = frac_inverse(m)
-    if any(x.denominator != 1 for row in inv for x in row):
+    inv, d = scaled_inverse(m)
+    if d != 1:
         raise ValueError("matrix is not invertible over the integers")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return inv
 
 
 def mat_order(m, cap=10000):

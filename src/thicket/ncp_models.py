@@ -7,12 +7,9 @@ additionally forbids a zero block that is a single pair {i, -i}.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
-from .linalg import mat_mul
 from .root_coxeter import (
-    GroupElement,
     NotInInterval,
     WrongSeries,
     enumerate_nc,
@@ -20,7 +17,8 @@ from .root_coxeter import (
     permutation_cycles,
     type_a_as_permutation,
     type_d_as_signed_permutation,
-    _standard_basis_change,
+    _element_of_permutation,
+    _require,
 )
 
 
@@ -142,11 +140,6 @@ def brady_f(rs, w):
     return SetPartitionA(n1, tuple(blocks))
 
 
-def _transposition_root(rs, i, j):
-    """Positive root of A_n mapping to the transposition (i, j), i < j."""
-    return tuple(1 if i <= k + 1 < j else 0 for k in range(rs.rank))
-
-
 def brady_g(rs, p):
     if rs.delta.series != "A":
         raise WrongSeries("Brady bijection needs series A")
@@ -154,16 +147,10 @@ def brady_g(rs, p):
         raise ValueError("partition size must be rank + 1")
     if not is_noncrossing_a(p):
         raise Crossing("partition is crossing")
-    mats = []
+    perm = {}
     for b in p.blocks:
-        for i in range(len(b) - 1):
-            mats.append(rs._reflection_matrix(_transposition_root(rs, b[i], b[i + 1])))
-    if not mats:
-        return rs.identity
-    out = mats[0]
-    for m in mats[1:]:
-        out = mat_mul(out, m)
-    return GroupElement(out)
+        perm.update(_cycle_to_mapping(b))
+    return _element_of_permutation(rs, perm)
 
 
 # -- Kreweras-style complement ----------------------------------------
@@ -259,105 +246,82 @@ def construct_fiber(w, x):
     aw = kreweras_alpha(w)
     for b in aw.blocks:
         out.append(kreweras_alpha_inverse(_lift_with_big_block(aw, b, x)))
-    assert len(set(out)) == s + 1
+    _require(len(set(out)) == s + 1, "a fiber does not have n + 1 distinct members")
     for v in out:
-        assert is_noncrossing_a(v)
-        assert rotate_a(v, s) == v
-        assert project_f(v, s) == w
+        _require(is_noncrossing_a(v), "a fiber member is crossing")
+        _require(rotate_a(v, s) == v, "a fiber member is not rotation invariant")
+        _require(project_f(v, s) == w, "a fiber member projects elsewhere")
     return out
 
 
 # -- B and D models ----------------------------------------------------
 
 
-def _validate_mirror(n, blocks, allow_single_pair):
-    seen = [x for b in blocks for x in b]
-    universe = [x for i in range(1, n + 1) for x in (i, -i)]
-    if sorted(seen) != sorted(universe):
-        raise NotAPartition(f"blocks do not partition [±{n}]")
-    block_set = set(blocks)
-    zero = []
-    for b in blocks:
-        neg = tuple(sorted(-x for x in b))
-        if neg not in block_set:
-            raise NotAPartition("mirror of a block is missing")
-        if neg == b:
-            zero.append(b)
-    if len(zero) > 1:
-        raise NotAPartition("more than one zero block")
-    if zero and not allow_single_pair and len(zero[0]) == 2:
-        raise NotAPartition("zero block must not be a single pair")
-    return zero[0] if zero else None
-
-
 @dataclass(frozen=True)
 class BPartition:
+    """A mirror-stable partition of [±n]; at most one block is its own mirror."""
+
     n: int
     blocks: tuple
+    zero_block: tuple = field(init=False, compare=False, repr=False)
+    model = "B"
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", _canonical(self.blocks))
-        _validate_mirror(self.n, self.blocks, allow_single_pair=True)
-
-    @property
-    def zero_block(self):
-        return _validate_mirror(self.n, self.blocks, allow_single_pair=True)
+        seen = [x for b in self.blocks for x in b]
+        universe = [x for i in range(1, self.n + 1) for x in (i, -i)]
+        if sorted(seen) != sorted(universe):
+            raise NotAPartition(f"blocks do not partition [±{self.n}]")
+        block_set = set(self.blocks)
+        zero = []
+        for b in self.blocks:
+            neg = tuple(sorted(-x for x in b))
+            if neg not in block_set:
+                raise NotAPartition("mirror of a block is missing")
+            if neg == b:
+                zero.append(b)
+        if len(zero) > 1:
+            raise NotAPartition("more than one zero block")
+        object.__setattr__(self, "zero_block", zero[0] if zero else None)
 
     def to_json(self):
-        return _signed_json("B", self)
+        return {
+            "model": self.model,
+            "n": self.n,
+            "blocks": [
+                {"elements": list(b), "zero_block": b == self.zero_block}
+                for b in self.blocks
+            ],
+        }
 
 
-@dataclass(frozen=True)
-class DPartition:
-    n: int
-    blocks: tuple
+class DPartition(BPartition):
+    """A B partition with n >= 4 whose zero block is not a single pair."""
+
+    model = "D"
 
     def __post_init__(self):
         if self.n < 4:
             raise NotAPartition("D model needs n >= 4")
-        object.__setattr__(self, "blocks", _canonical(self.blocks))
-        _validate_mirror(self.n, self.blocks, allow_single_pair=False)
-
-    @property
-    def zero_block(self):
-        return _validate_mirror(self.n, self.blocks, allow_single_pair=False)
-
-    def to_json(self):
-        return _signed_json("D", self)
-
-
-def _signed_json(model, p):
-    zero = p.zero_block
-    return {
-        "model": model,
-        "n": p.n,
-        "blocks": [
-            {"elements": list(b), "zero_block": b == zero} for b in p.blocks
-        ],
-    }
-
-
-def _positions_2n(n):
-    """Circle positions for the labels 1..n, -1..-n in clockwise order."""
-    order = list(range(1, n + 1)) + list(range(-1, -n - 1, -1))
-    return {lab: i + 1 for i, lab in enumerate(order)}
+        super().__post_init__()
+        if self.zero_block is not None and len(self.zero_block) == 2:
+            raise NotAPartition("zero block must not be a single pair")
 
 
 def enumerate_nc_b(n):
-    """Noncrossing mirror-stable partitions of the 2n circle.
+    """Noncrossing mirror-stable partitions of the 2n circle, in fiber order.
 
-    Negation acts as the half-turn, so these are exactly the half-turn
-    invariant elements of the 2n-point A model, relabelled.
+    Negation acts as the half-turn, so these are the half-turn invariant
+    elements of the 2n-point A model, positions n+1..2n relabelled
+    -1..-n.  By the fiber lemma (Reiner 1997) those are exactly the
+    fibers construct_fiber(w, 2) over w in NC(n): binom(2n, n) of them,
+    found without enumerating NC(2n).
     """
-    pos = _positions_2n(n)
-    inv = {v: k for k, v in pos.items()}
-    out = []
-    for p in enumerate_nc_a(2 * n):
-        if rotate_a(p, n) != p:
-            continue
-        blocks = tuple(tuple(sorted(inv[x] for x in b)) for b in p.blocks)
-        out.append(BPartition(n, blocks))
-    return out
+    return [
+        BPartition(n, tuple(tuple(x if x <= n else n - x for x in b) for b in v.blocks))
+        for w in enumerate_nc_a(n)
+        for v in construct_fiber(w, 2)
+    ]
 
 
 # -- Athanasiadis-Reiner bijection -------------------------------------
@@ -387,12 +351,6 @@ def _signed_cycles(perm):
 def ar_bijection_f(rs, w):
     if rs.delta.series != "D":
         raise WrongSeries("this bijection needs series D")
-    cache = getattr(rs, "_d_partition_cache", None)
-    if cache is None:
-        cache = rs._d_partition_cache = {}
-    hit = cache.get(w.matrix)
-    if hit is not None:
-        return hit
     if not in_nc(rs, w):
         raise NotInInterval("element outside the interval")
     n = rs.rank
@@ -410,9 +368,7 @@ def ar_bijection_f(rs, w):
         if i not in moved:
             blocks.append((i,))
             blocks.append((-i,))
-    out = DPartition(n, tuple(blocks))
-    cache[w.matrix] = out
-    return out
+    return DPartition(n, tuple(blocks))
 
 
 def _cycle_to_mapping(cycle):
@@ -454,26 +410,6 @@ def _paired_cycle(n, block):
     return tuple(ordered) + (centroid[0],)
 
 
-def _signed_perm_to_element(rs, perm):
-    n = rs.rank
-    std = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        img = perm.get(i, i)
-        std[abs(img) - 1][i - 1] = 1 if img > 0 else -1
-    b, binv = _standard_basis_change(rs)
-    prod = mat_mul(std, b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = sum(Fraction(binv[i][k]) * prod[k][j] for k in range(n))
-            if val.denominator != 1:
-                raise ValueError("not an element of the group")
-            row.append(int(val))
-        out.append(tuple(row))
-    return GroupElement(tuple(out))
-
-
 def ar_bijection_g(rs, p):
     if rs.delta.series != "D":
         raise WrongSeries("this bijection needs series D")
@@ -505,7 +441,7 @@ def ar_bijection_g(rs, p):
         )
         if rest:
             perm.update(_cycle_to_mapping(rest))
-    g = _signed_perm_to_element(rs, perm)
+    g = _element_of_permutation(rs, perm)
     if not in_nc(rs, g):
         raise NotInInterval("partition is not noncrossing for the D model")
     return g
@@ -527,23 +463,8 @@ def d_chord_sanity(p):
     labelled 1..n-1, -1..-(n-1) like an A-model diagram.
     """
     n = p.n
-    pos = {}
-    order = list(range(1, n)) + list(range(-1, -n, -1))
-    for i, lab in enumerate(order):
-        pos[lab] = i + 1
-    blocks = []
-    for b in p.blocks:
-        reduced = tuple(sorted(pos[x] for x in b if abs(x) != n))
-        if reduced:
-            blocks.append(reduced)
-    chords = []
-    for i, b in enumerate(blocks):
-        chords.extend((c, i) for c in _chords(b, 2 * n - 2))
-    for x, (c1, i1) in enumerate(chords):
-        for c2, i2 in chords[x + 1:]:
-            if i1 != i2 and _interleave(c1[0], c1[1], c2[0], c2[1]):
-                return False
-    return True
+    blocks = (tuple(_boundary_position(n, x) + 1 for x in b if abs(x) != n) for b in p.blocks)
+    return is_noncrossing_a(SetPartitionA(2 * n - 2, tuple(b for b in blocks if b)))
 
 
 # -- the rotation and the sign flip ------------------------------------

@@ -14,11 +14,9 @@ integer kernel of x - 1 per element gives all its children at once.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import (
-    frac_inverse,
     identity,
     kernel,
     mat_inverse,
@@ -26,6 +24,7 @@ from .linalg import (
     mat_sub,
     mat_vec,
     rank,
+    scaled_inverse,
 )
 
 
@@ -356,86 +355,87 @@ def roots_below(rs, w):
 # -- permutation specializations --------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _ambient_basis(delta):
+    """(b, d b^-1, d), where the columns of b are the simple roots in
+    ambient coordinates, in which the group acts by signed permutations.
+
+    A_n: e_i - e_(i+1) in Z^(n+1), plus the all-ones column, which every
+    element fixes.  D_n: e_i - e_(i+1) for i < n and e_(n-1) + e_n in
+    Z^n (det b = 2).
+    """
+    n = delta.rank
+    size = n + 1 if delta.series == "A" else n
+    b = [[0] * size for _ in range(size)]
+    for j in range(size - 1):
+        b[j][j], b[j + 1][j] = 1, -1
+    if delta.series == "A":
+        for row in b:
+            row[n] = 1
+    else:
+        b[n - 2][n - 1] = b[n - 1][n - 1] = 1
+    b = tuple(map(tuple, b))
+    return (b,) + scaled_inverse(b)
+
+
+def _ambient_permutation(rs, w):
+    """b w b^-1 read as a signed permutation, a dict on {±1, ..., ±len(b)}."""
+    b, binv, d = _ambient_basis(rs.delta)
+    m = w.matrix
+    if len(b) > rs.rank:  # A_n: w fixes the all-ones column
+        m = tuple(row + (0,) for row in m) + ((0,) * rs.rank + (1,),)
+    perm = {}
+    for j, col in enumerate(zip(*mat_mul(mat_mul(b, m), binv)), 1):
+        nz = [(i, x) for i, x in enumerate(col, 1) if x]
+        _require(
+            len(nz) == 1 and abs(nz[0][1]) == d,
+            "element does not act as a signed permutation",
+        )
+        i, x = nz[0]
+        perm[j], perm[-j] = i * x // d, -i * x // d
+    return perm
+
+
+def _element_of_permutation(rs, perm):
+    """The element b^-1 P b acting on ambient coordinates as the signed
+    permutation perm (a dict; unlisted labels are fixed).
+
+    Raises ValueError when b^-1 P b is not an integer matrix.
+    """
+    b, binv, d = _ambient_basis(rs.delta)
+    p = [[0] * len(b) for _ in b]
+    for j in range(1, len(b) + 1):
+        img = perm.get(j, j)
+        p[abs(img) - 1][j - 1] = 1 if img > 0 else -1
+    m = mat_mul(mat_mul(binv, p), b)
+    if any(x % d for row in m for x in row):
+        raise ValueError("not an element of the group")
+    return GroupElement(tuple(tuple(x // d for x in row[:rs.rank]) for row in m[:rs.rank]))
+
+
 def type_a_as_permutation(rs, w):
     """Image of w in the symmetric group on [n+1], as a tuple of images.
 
-    The simple reflection s_i maps to the transposition (i, i+1).
+    Read off b w b^-1 for the ambient basis change of A_n, so the simple
+    reflection s_i maps to the transposition (i, i+1).
     """
     if rs.delta.series != "A":
         raise WrongSeries("permutation model needs series A")
-    n = rs.rank
-    cols = list(zip(*w.matrix))
-    # u_j = image of the j-th simple root in the ambient standard basis
-    us = []
-    for j in range(n):
-        u = [0] * (n + 1)
-        for k in range(n):
-            u[k] += cols[j][k]
-            u[k + 1] -= cols[j][k]
-        us.append(u)
-    # c_j = sum_{k >= j} u_k expresses image(e_j) - image(e_{n+1})
-    cs = [[0] * (n + 1) for _ in range(n + 2)]
-    for j in range(n, 0, -1):
-        cs[j] = [a + b for a, b in zip(cs[j + 1], us[j - 1])]
-    total = [sum(cs[j][i] for j in range(1, n + 2)) for i in range(n + 1)]
-    base = []
-    for i in range(n + 1):
-        num = 1 - total[i]
-        _require(num % (n + 1) == 0, "element does not act as a permutation")
-        base.append(num // (n + 1))
-    perm = []
-    for j in range(1, n + 2):
-        img = [base[i] + cs[j][i] for i in range(n + 1)]
-        _require(sorted(img) == [0] * n + [1], "element does not act as a permutation")
-        perm.append(img.index(1) + 1)
-    return tuple(perm)
-
-
-def _standard_basis_change(rs):
-    """The D_n basis change b and its rational inverse (det b = 2).
-
-    Columns of b are the simple roots of D_n in signed-coordinate form.
-    """
-    cached = getattr(rs, "_coord_change", None)
-    if cached is None:
-        n = rs.rank
-        b = [[0] * n for _ in range(n)]
-        for i in range(n - 1):
-            b[i][i] = 1
-            b[i + 1][i] = -1
-        b[n - 2][n - 1] = 1
-        b[n - 1][n - 1] = 1
-        b = tuple(tuple(row) for row in b)
-        cached = rs._coord_change = (b, frac_inverse(b))
-    return cached
+    perm = _ambient_permutation(rs, w)
+    out = tuple(perm[j] for j in range(1, rs.rank + 2))
+    _require(min(out) > 0, "element does not act as a permutation")
+    return out
 
 
 def type_d_as_signed_permutation(rs, w):
     """Image of w as a signed permutation, a dict on {±1, ..., ±n}.
 
-    s_i maps to ((i, i+1)) for i < n and s_n to ((-(n-1), n)).
+    Read off b w b^-1 for the ambient basis change of D_n, so s_i maps
+    to ((i, i+1)) for i < n and s_n to ((-(n-1), n)).
     """
     if rs.delta.series != "D":
         raise WrongSeries("signed permutation model needs series D")
-    n = rs.rank
-    b, binv = _standard_basis_change(rs)
-    wb = mat_mul(b, w.matrix)
-    std = tuple(
-        tuple(sum(Fraction(wb[i][k]) * binv[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    perm = {}
-    for j in range(n):
-        col = [std[i][j] for i in range(n)]
-        nz = [(i, x) for i, x in enumerate(col) if x != 0]
-        _require(
-            len(nz) == 1 and abs(nz[0][1]) == 1,
-            "element does not act as a signed permutation",
-        )
-        i, sign = nz[0]
-        perm[j + 1] = (i + 1) * int(sign)
-        perm[-(j + 1)] = -(i + 1) * int(sign)
-    return perm
+    return _ambient_permutation(rs, w)
 
 
 def permutation_cycles(perm):

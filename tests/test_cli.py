@@ -109,6 +109,13 @@ def test_verify_json_covers_series_e(capsys, monkeypatch):
     assert "(D4, r, 3)" in detail and "oracle-only" in detail
 
 
+def test_verify_checks_the_b_model_counts(monkeypatch):
+    ok, detail = cli._check_partition_counts(3)
+    assert ok and "B-model counts match binom(2k, k) up to n=6" in detail
+    monkeypatch.setattr(cli, "enumerate_nc_b", lambda k: [None] * k)
+    assert not cli._check_partition_counts(3)[0]
+
+
 def test_verify_passes_with_assertions_stripped():
     # the invariants of root_coxeter are checked by code, not by assert
     src = os.path.dirname(os.path.dirname(thicket.__file__))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -7,6 +9,7 @@ from thicket.ncp_models import (
     BPartition,
     Crossing,
     DPartition,
+    NotAPartition,
     NotInvariant,
     SetPartitionA,
     ar_bijection_f,
@@ -29,7 +32,8 @@ from thicket.ncp_models import (
     sigma,
     sigma_rho_power,
 )
-from thicket.root_coxeter import DynkinType, build_root_system, enumerate_nc
+from thicket import ncp_models
+from thicket.root_coxeter import BrokenInvariant, DynkinType, build_root_system, enumerate_nc
 
 
 def catalan(n):
@@ -254,6 +258,14 @@ def test_fiber_rejects_trivial_multiplier():
         construct_fiber(SetPartitionA(2, ((1,), (2,))), 1)
 
 
+def test_fiber_checks_survive_python_o(monkeypatch):
+    # a lift that is invariant but projects elsewhere must not pass
+    wrong = SetPartitionA(4, ((1, 2, 3, 4),))
+    monkeypatch.setattr(ncp_models, "_lift_with_big_block", lambda p, big, x: wrong)
+    with pytest.raises(BrokenInvariant):
+        construct_fiber(SetPartitionA(2, ((1,), (2,))), 2)
+
+
 # -- B model ---------------------------------------------------------------------
 
 
@@ -263,6 +275,22 @@ def test_b_model_counts(n):
     assert len(got) == comb(2 * n, n)
     for p in got:
         assert {tuple(sorted(-x for x in b)) for b in p.blocks} == set(p.blocks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_b_model_is_the_half_turn_invariant_a_model(n):
+    # reference: filter NC(2n) by the half-turn, positions n+1..2n being -1..-n
+    def label(x):
+        return x if x <= n else n - x
+
+    invariant = {
+        BPartition(n, tuple(tuple(label(x) for x in b) for b in p.blocks)).blocks
+        for p in enumerate_nc_a(2 * n)
+        if rotate_a(p, n) == p
+    }
+    got = [p.blocks for p in enumerate_nc_b(n)]
+    assert len(got) == len(set(got))
+    assert set(got) == invariant
 
 
 def test_b_model_smallest_case():
@@ -289,6 +317,32 @@ def test_d_partition_validation():
         )  # two zero blocks
 
 
+def test_signed_partitions_share_one_body():
+    blocks = ((1, 2), (-1, -2), (3, 4, -3, -4))
+    b, d = BPartition(4, blocks), DPartition(4, blocks[::-1])
+    assert b.blocks == d.blocks
+    assert b.zero_block == d.zero_block == (-4, -3, 3, 4)
+    assert b != d
+    assert d == DPartition(4, blocks) and hash(d) == hash(DPartition(4, blocks))
+    assert BPartition(2, ((1,), (-1,), (2,), (-2,))).zero_block is None
+    assert d.to_json()["model"] == "D" and b.to_json()["model"] == "B"
+    for n, bad, message in [
+        (3, ((1,), (-1,), (2,), (-2,), (3,), (-3,)), "D model needs n >= 4"),
+        (4, ((1, 2), (-1, -2), (3,), (-3,), (4,)), r"do not partition \[±4\]"),
+        (4, ((1, 2), (-1, 3), (-2, -3), (4,), (-4,)), "mirror of a block is missing"),
+        (4, ((1, -1), (2, -2), (3,), (-3,), (4,), (-4,)), "more than one zero block"),
+        (4, ((1, -1), (2,), (-2,), (3,), (-3,), (4,), (-4,)), "single pair"),
+    ]:
+        with pytest.raises(NotAPartition, match=message):
+            DPartition(n, bad)
+
+
+def test_d_chord_sanity_rejects_interleaved_boundary_chords():
+    # on the hexagon 1, 2, 3, -1, -2, -3 the chord {1, 3} crosses {2, -2}
+    assert not d_chord_sanity(DPartition(4, ((1, 3), (-1, -3), (2, -2, 4, -4))))
+    assert d_chord_sanity(DPartition(4, ((1, 2), (-1, -2), (3, -3, 4, -4))))
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_ar_roundtrip(n):
     rs = build_root_system(DynkinType("D", n))
@@ -299,6 +353,32 @@ def test_ar_roundtrip(n):
         assert ar_bijection_g(rs, p) == w
         images.add(p.blocks)
     assert len(images) == len(enumerate_nc(rs))
+
+
+# sha256 of the JSON of the bijection images over [id, cox], in order, as the
+# hand-written permutation readers gave them; the basis change must agree
+BIJECTION_DIGESTS = {
+    ("A", 1): "83d7cc6dc1d75aa1b86961614e8c1a9e5acd7a030605a677d240f55142c6115d",
+    ("A", 2): "6982c0cff69d1f0e9777effa27dd28545c94019afb07b997b4b90453809a1e89",
+    ("A", 3): "9259348261609f35721ca678600a0cbb125ea8b7122aefa69ba8135c1cb59d73",
+    ("A", 4): "9d430a8ca67453ed907d9ee044bb93011396e33787b27c5e0906f0c34eaa49c6",
+    ("A", 5): "d07bd7b5241b98d800a1b46fd1cb588a68eeebf2058c50126c8b270e4b040201",
+    ("A", 6): "20605a0b7c925220f63b768fddfc01df0cac2e74a421a8be5de817b2dd204630",
+    ("D", 4): "011500e9d43aa974f52dc8ccb74886d2f593b048a74081a7d46e08345b937d48",
+    ("D", 5): "09fcf1525eb6a118c17d2a10f0f75a128440e2c2c10c1d1b98131bbce7c49b20",
+    ("D", 6): "4b5df8a9a3306dea2e6db0a6a7f92bb01f1de6fd6465fa570488c45ca22c08e5",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BIJECTION_DIGESTS))
+def test_bijection_image_digest(spec):
+    rs = build_root_system(DynkinType(*spec))
+    if spec[0] == "A":
+        doc = [brady_f(rs, w).blocks for w in enumerate_nc(rs)]
+    else:
+        doc = [ar_bijection_f(rs, w).to_json() for w in enumerate_nc(rs)]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == BIJECTION_DIGESTS[spec]
 
 
 def test_ar_identity_and_cox():

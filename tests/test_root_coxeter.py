@@ -398,6 +398,29 @@ def test_interval_table_digest(spec):
     assert digest == INTERVAL_DIGESTS[spec]
 
 
+# sha256 of the JSON of group_element_to_json over [id, cox], in order, as
+# the hand-written permutation readers gave it; the basis change must agree
+PERMUTATION_JSON_DIGESTS = {
+    ("A", 1): "061534ad1dc1db30bbbaf44d1c3a3a518964525d8fb53b5850dd84ee52e430ab",
+    ("A", 2): "e457293b081394afa59c392b577c18134a7a34e11d3be404ebfe58e99a0262c0",
+    ("A", 3): "6f1851964e96abfa3e7ba20541c0b8216e3128bf1a8d65a01fd457526e79d7b6",
+    ("A", 4): "c438ca47c44c7f176e8cf74925e3d0fbf33bdeb5fdeb1761d91791a8528cfb76",
+    ("A", 5): "b4a5bd7af95d4d3dfe2f75506695a0d711a5efbb28580d147fd5236c1c250384",
+    ("A", 6): "b563d943577ece0151ae5d591720888b7b19beec21a783f56f0ec1c88112f823",
+    ("D", 4): "18a9b2734b5e2fc6af0fc1d23ebd41a20e3c08d551ccab10b8464745e1471751",
+    ("D", 5): "960093fb544e8cc1daae1fa1a9047a6f7b8dc8f183ada9498834e9981d76e4dc",
+    ("D", 6): "847fc4b58ef6f17903db6079d40f330a7db9b50c9ab706fc6147bd15b26cd6e2",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PERMUTATION_JSON_DIGESTS))
+def test_group_element_json_digest(spec):
+    rs = build_root_system(DynkinType(*spec))
+    doc = [group_element_to_json(rs, w) for w in enumerate_nc(rs)]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == PERMUTATION_JSON_DIGESTS[spec]
+
+
 def test_roots_below_rejects_elements_outside_interval():
     rs = build_root_system(DynkinType("A", 2))
     s1 = rs.simple_reflection(1)
@@ -450,6 +473,21 @@ def test_permutation_models_are_homomorphisms():
         pw = type_d_as_signed_permutation(rsd, w)
         puw = type_d_as_signed_permutation(rsd, u * w)
         assert puw == {k: pu[pw[k]] for k in pw}
+
+
+@pytest.mark.parametrize("spec", [("A", 1), ("A", 4), ("D", 4), ("D", 5)])
+def test_one_basis_change_reads_and_writes_every_element(spec):
+    rs = build_root_system(DynkinType(*spec))
+    for w in enumerate_nc(rs):
+        perm = root_coxeter._ambient_permutation(rs, w)
+        assert root_coxeter._element_of_permutation(rs, perm) == w
+
+
+def test_basis_change_writer_rejects_non_integral_results():
+    rs = build_root_system(DynkinType("A", 3))
+    with pytest.raises(ValueError, match="not an element of the group"):
+        # negating a coordinate does not preserve the A3 root lattice
+        root_coxeter._element_of_permutation(rs, {1: -1})
 
 
 def test_permutation_model_wrong_series():
