@@ -1,8 +1,9 @@
-"""Category types, invariance criteria and closed counting formulas."""
+"""Category types, their invariance criteria and the count each criterion
+gives, read off the degrees of W."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .derived_engine import InvalidType, brute_force_classify, fixed_descriptors
 from .linalg import mat_pow, mat_vec
@@ -14,7 +15,7 @@ class ExcludedType(ValueError):
 
 
 class NoClosedForm(ValueError):
-    pass
+    """No longer raised: every admissible type has a closed count."""
 
 
 class NotAsashibaType(ValueError):
@@ -48,15 +49,7 @@ class CategoryType:
         if self.r < 1:
             raise InvalidType("r must be a positive integer")
         d, t = self.delta, self.t
-        ok = (
-            (t == 1)
-            or (t == 2 and d.series == "A" and d.rank % 2 == 1 and d.rank >= 3)
-            or (t == "inf" and d.series == "A" and d.rank % 2 == 0)
-            or (t == 2 and d.series == "D")
-            or (t == 3 and d == DynkinType("D", 4))
-            or (t == 2 and d == DynkinType("E", 6))
-        )
-        if not ok:
+        if (d.series, d.rank, t) not in admissible_types_for_rank(d.rank):
             raise InvalidType(f"({d}, r, {t}) is not an admissible type")
 
     def to_json(self):
@@ -152,49 +145,38 @@ def catalan_d(n):
 
 
 def count_thick_formula(ct):
-    """Exact count from the closed formulas; series E has none.
+    """Exact count from the criterion and the degrees of W alone.
 
-    The case split is the overview table's, with two corrections to the
-    printed values.  The half-turn D cells (s = n-1 for odd n, s in
-    {0, n-1} for even n with the arm swap) have binomial(2n-2, n-1)
-    thick subcategories, not Cat(D_{n-1}), and (D_4, r, 3) with 3 not
-    dividing r has five, not two.  Both enumeration routes and the
-    Weyl-group oracle of tests/test_independent_oracle.py give these
-    values; README's erratum lists the witnesses.
+    Conjugation by cox^s fixes prod over the degrees d with m | d of
+    (h + d) / d interval elements, m = h / s (Bessis-Reiner's cyclic
+    sieving of NC(W), 2011).  The even-D arm swap composed with cox^s
+    (sigma_rho_power) fixes binomial(2p, p) of them, p = gcd(n-1, s),
+    the type-B count of the Athanasiadis-Reiner model, and (D_4, r, 3)
+    has 8 or 5 thick subcategories.
+
+    These values correct two printed in the overview table.  The
+    half-turn D cells (s = n-1 for odd n, s in {0, n-1} for even n with
+    the arm swap) have binomial(2n-2, n-1) thick subcategories, not
+    Cat(D_{n-1}), and (D_4, r, 3) with 3 not dividing r has five, not
+    two.  Both enumeration routes and the Weyl-group oracle of
+    tests/test_independent_oracle.py give these values; README's
+    erratum lists the witnesses.
     """
-    d, r = ct.delta, ct.r
-    n = d.rank
-    h = d.coxeter_number
-    if d.series == "E":
-        raise NoClosedForm("no closed formula for series E; enumerate instead")
-    if d.series == "A":
-        s = gcd(h, parameter_p(ct))
-        return catalan(s) if s == h else comb(2 * s, s)
-    if ct.t == 3:
-        # D4 with the order-3 symmetry
-        return 8 if r % 3 == 0 else 5
-    if ct.t == 1:
-        s = gcd(h, r)
-        if s == h or (s == n - 1 and n % 2 == 0):
-            return catalan_d(n)
-    elif n % 2 == 1:
-        s = gcd(h, r + (n - 1))
-        if s == h:
-            return catalan_d(n)
-    else:
-        s = r % h
-    # the half-turn cells (s = n-1, or s = 0 with the even arm swap) land
-    # here with p = n-1, giving binomial(2n-2, n-1)
-    p = gcd(n - 1, s)
-    return comb(2 * p, p)
+    crit = reduce_criterion(ct)
+    if crit.mode == "d4_triality":
+        return 8 if crit.s == 0 else 5
+    if crit.mode == "sigma_rho_power":
+        p = gcd(ct.delta.rank - 1, crit.s)
+        return comb(2 * p, p)
+    degrees = ct.delta.degrees
+    h = degrees[-1]
+    fixed = [d for d in degrees if d % (h // crit.s) == 0]
+    return prod(h + d for d in fixed) // prod(fixed)
 
 
 def count_thick(ct, proper=False):
-    """Count by formula where one exists, else by enumeration."""
-    try:
-        total = count_thick_formula(ct)
-    except NoClosedForm:
-        total = len(enumerate_thick(ct))
+    """The closed count, less the two trivial ones when proper."""
+    total = count_thick_formula(ct)
     return total - 2 if proper else total
 
 
@@ -243,18 +225,14 @@ def classification_report(ct, check_brute_force=True):
         "criterion": crit.mode,
         "s": crit.s,
         "count_enumerated": len(enumerated),
+        "count_formula": count_thick_formula(ct),
     }
-    try:
-        doc["count_formula"] = count_thick_formula(ct)
-    except NoClosedForm:
-        doc["count_formula"] = None
+    doc["agree"] = doc["count_formula"] == len(enumerated)
     if check_brute_force:
         brute = brute_force_classify(ct)
         doc["count_brute_force"] = len(brute)
         same = {d.nc.matrix for d in enumerated} == {d.nc.matrix for d in brute}
-        doc["agree"] = same and doc["count_formula"] in (None, len(enumerated))
-    else:
-        doc["agree"] = doc["count_formula"] in (None, len(enumerated))
+        doc["agree"] = same and doc["agree"]
     return doc
 
 
@@ -342,17 +320,14 @@ def overview_evaluate(n_values, r_values):
         for r in r_values:
             for series, rank, t in admissible_types_for_rank(n):
                 ct = CategoryType(DynkinType(series, rank), r, t)
-                try:
-                    formula = count_thick_formula(ct)
-                except NoClosedForm:
-                    formula = None
+                formula = count_thick_formula(ct)
                 enumerated = len(enumerate_thick(ct))
                 out.append(
                     {
                         "type": ct.to_json(),
                         "count_formula": formula,
                         "count_enumerated": enumerated,
-                        "agree": formula in (None, enumerated),
+                        "agree": formula == enumerated,
                     }
                 )
     return out

@@ -14,8 +14,8 @@ from math import comb, gcd
 from . import classifier, derived_engine, ncp_models, render
 from .classifier import (
     CategoryType,
-    NoClosedForm,
     classification_report,
+    count_thick,
     count_thick_formula,
     enumerate_thick,
     overview_markdown,
@@ -97,6 +97,13 @@ def max_e_rank():
         raise UsageError(f"THICKET_MAX_RANK must be an integer, got {raw!r}") from None
 
 
+def _within_cap(ct):
+    """Refuse to enumerate a series-E type above THICKET_MAX_RANK."""
+    if ct.delta.series == "E" and ct.delta.rank > max_e_rank():
+        raise InvalidType(f"rank {ct.delta.rank} exceeds THICKET_MAX_RANK={max_e_rank()}")
+    return ct
+
+
 def _positive_int(raw):
     if not re.fullmatch(r"\d+", raw) or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
@@ -152,7 +159,7 @@ def build_parser():
     rsub = p.add_subparsers(dest="what", required=True)
     c = rsub.add_parser("circle")
     c.add_argument("--model", required=True, choices=["A", "D"])
-    c.add_argument("--n", required=True, type=int)
+    c.add_argument("--n", required=True, type=_positive_int)
     c.add_argument("--blocks", required=True, type=_blocks,
                    help="blocks as comma lists joined by '|', e.g. '1,4|2,3|5'")
     c.add_argument("--out", required=True)
@@ -167,28 +174,20 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.add_argument("--check", action="store_true",
                    help="evaluate count cells on a grid against enumeration")
-    p.add_argument("--max-rank", type=int, default=5)
-    p.add_argument("--max-r", type=int, default=None)
+    p.add_argument("--max-rank", type=_positive_int, default=5)
+    p.add_argument("--max-r", type=_positive_int, default=12)
 
     p = sub.add_parser("verify", help="run the cross-check battery")
-    p.add_argument("--max-rank", type=int, default=4)
+    p.add_argument("--max-rank", type=_positive_int, default=4)
     p.add_argument("--json", action="store_true")
     return top
 
 
 def cmd_count(args):
     ct = _category_type(args)
-    try:
-        total = count_thick_formula(ct)
-    except NoClosedForm:
-        if ct.delta.rank > max_e_rank():
-            raise InvalidType(
-                f"rank {ct.delta.rank} exceeds THICKET_MAX_RANK={max_e_rank()}"
-            )
-        total = len(enumerate_thick(ct))
-    shown = total - 2 if args.proper else total
+    shown = count_thick(ct, proper=args.proper)
     if args.check:
-        report = classification_report(ct)
+        report = classification_report(_within_cap(ct))
         if args.json:
             print(json.dumps(report, sort_keys=True))
         else:
@@ -225,11 +224,7 @@ def cmd_enumerate(args):
 
 
 def cmd_classify(args):
-    ct = _category_type(args)
-    if ct.delta.series == "E" and ct.delta.rank > max_e_rank():
-        raise InvalidType(
-            f"rank {ct.delta.rank} exceeds THICKET_MAX_RANK={max_e_rank()}"
-        )
+    ct = _within_cap(_category_type(args))
     for desc in enumerate_thick(ct):
         print(json.dumps(desc.to_json(ct), sort_keys=True))
     return 0
@@ -247,7 +242,7 @@ def cmd_render(args):
             fh.write(svg)
         print(args.out)
         return 0
-    ct = _category_type(args)
+    ct = _within_cap(_category_type(args))
     window = args.window or (0, 2 * ct.delta.coxeter_number)
     descs = enumerate_thick(ct)
     if args.index is not None and not 0 <= args.index < len(descs):
@@ -276,10 +271,9 @@ def cmd_table(args):
         print(overview_markdown(), end="")
     if not args.check:
         return 0
-    max_r = args.max_r or 12
     bad = []
     for n in range(1, args.max_rank + 1):
-        cells = classifier.overview_evaluate([n], range(1, max_r + 1))
+        cells = classifier.overview_evaluate([n], range(1, args.max_r + 1))
         bad.extend(c for c in cells if not c["agree"])
     if bad:
         print(f"{len(bad)} cells disagree with enumeration:", file=sys.stderr)
@@ -408,13 +402,16 @@ def _check_classification(max_rank):
                 enum = {x.nc.matrix for x in enumerate_thick(ct)}
                 brute = {x.nc.matrix for x in brute_force_classify(ct)}
                 if enum != brute:
-                    bad.append(str(ct))
+                    bad.append(f"{ct}: criterion != brute force")
+                if count_thick_formula(ct) != len(enum):
+                    bad.append(f"{ct}: formula != enumeration")
     if bad:
-        return False, f"criterion disagrees with brute force: {bad[:5]}"
+        return False, f"classification disagrees: {bad[:5]}"
     e_types = ", ".join(f"E{n}" for n in (6, 7, 8) if n <= e_cap)
     e_part = f" and for series E ({e_types})" if e_types else ""
     return True, (
-        f"criterion equals brute force for all admissible types up to rank {max_rank}"
+        f"criterion equals brute force and the count formula equals enumeration"
+        f" for all admissible types up to rank {max_rank}"
         f"{e_part}; (D4, r, 3) has no interval-level criterion and is oracle-only"
     )
 

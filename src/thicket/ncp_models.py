@@ -39,6 +39,8 @@ class NotAPartition(ValueError):
 
 
 def _canonical(blocks):
+    if not all(blocks):
+        raise NotAPartition("a block is empty")
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 

@@ -53,8 +53,11 @@ def _require(ok, message):
         raise BrokenInvariant(message)
 
 
-_E_RANKS = (6, 7, 8)
-_POSITIVE_COUNTS = {"E": {6: 36, 7: 63, 8: 120}}
+_E_DEGREES = {
+    6: (2, 5, 6, 8, 9, 12),
+    7: (2, 6, 8, 10, 12, 14, 18),
+    8: (2, 8, 12, 14, 18, 20, 24, 30),
+}
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,23 @@ class DynkinType:
             raise InvalidType("series A needs rank >= 1")
         if self.series == "D" and self.rank < 4:
             raise InvalidType("series D needs rank >= 4")
-        if self.series == "E" and self.rank not in _E_RANKS:
+        if self.series == "E" and self.rank not in _E_DEGREES:
             raise InvalidType("series E needs rank in {6, 7, 8}")
 
     @property
-    def coxeter_number(self):
+    def degrees(self):
+        """The degrees of the basic invariants of W, ascending."""
+        n = self.rank
         if self.series == "A":
-            return self.rank + 1
+            return tuple(range(2, n + 2))
         if self.series == "D":
-            return 2 * self.rank - 2
-        return {6: 12, 7: 18, 8: 30}[self.rank]
+            return tuple(sorted((*range(2, 2 * n - 1, 2), n)))
+        return _E_DEGREES[n]
+
+    @property
+    def coxeter_number(self):
+        """h, the largest degree."""
+        return self.degrees[-1]
 
     @property
     def exponent_bound(self):
@@ -193,7 +203,8 @@ class RootSystem:
             roots |= new
             frontier = new
         positives = sorted(v for v in roots if all(x >= 0 for x in v))
-        expected = self._expected_positive_count()
+        # |Phi+| is the sum of the exponents d - 1
+        expected = sum(d - 1 for d in self.delta.degrees)
         _require(
             len(positives) == expected,
             f"{self.delta} has {len(positives)} positive roots, expected {expected}",
@@ -203,14 +214,6 @@ class RootSystem:
             f"a positive root of {self.delta} does not have norm 2",
         )
         return tuple(positives)
-
-    def _expected_positive_count(self):
-        n = self.rank
-        if self.delta.series == "A":
-            return n * (n + 1) // 2
-        if self.delta.series == "D":
-            return n * (n - 1)
-        return _POSITIVE_COUNTS["E"][n]
 
     def _exceptional_order(self):
         """Topological order of the quiver; makes the simples exceptional."""

@@ -16,7 +16,6 @@ import pytest
 
 from thicket.classifier import (
     CategoryType,
-    NoClosedForm,
     admissible_types_for_rank,
     catalan,
     catalan_d,

@@ -8,7 +8,6 @@ from thicket.classifier import (
     CategoryType,
     ExcludedType,
     InvarianceCriterion,
-    NoClosedForm,
     NotAsashibaType,
     admissible_types_for_rank,
     algebra_type_to_category_type,
@@ -194,10 +193,29 @@ def test_count_formula_d4_triality():
     assert count_thick_formula(ct("D", 4, 1, 3)) == 5
 
 
-def test_count_formula_no_closed_form_for_e():
-    with pytest.raises(NoClosedForm):
-        count_thick_formula(ct("E", 6, 1, 1))
+def test_count_formula_e6_values():
+    # prod over the degrees 2, 5, 6, 8, 9, 12 divisible by m = 12 / s
+    by_s = {1: 2, 2: 6, 3: 5, 4: 14, 6: 105, 12: 833}
+    for r in range(1, 25):
+        assert count_thick_formula(ct("E", 6, r, 1)) == by_s[gcd(12, r)]
+        assert count_thick_formula(ct("E", 6, r, 2)) == by_s[gcd(12, r + 6)]
     assert count_thick(ct("E", 6, 1, 1)) == 2
+
+
+def test_count_formula_is_the_degree_product():
+    # the formula reads only the criterion and the degrees; both
+    # enumeration routes count the same cells without it
+    cells = [
+        ct(series, rank, r, t)
+        for n in range(1, 7)
+        for series, rank, t in admissible_types_for_rank(n)
+        for r in range(1, 2 * DynkinType(series, rank).coxeter_number + 1)
+    ]
+    cells += [ct("E", 7, r, 1) for r in range(1, 37)]
+    assert len(cells) == 260 + 36
+    for c in cells:
+        counts = (count_thick_formula(c), len(enumerate_thick(c)), len(brute_force_classify(c)))
+        assert len(set(counts)) == 1, f"{c}: formula, enumeration, brute force = {counts}"
 
 
 def test_count_proper_flag():

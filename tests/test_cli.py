@@ -197,6 +197,19 @@ def test_invalid_partition_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("model,n,blocks", [
+    ("A", "3", "1,2||3"),
+    ("D", "4", "1|-1|2|-2|3|-3|4|-4|"),
+])
+def test_empty_block_is_not_a_partition(tmp_path, capsys, model, n, blocks):
+    code, out, err = run(
+        capsys, "render", "circle", "--model", model, "--n", n,
+        "--blocks", blocks, "--out", str(tmp_path / "c.svg"),
+    )
+    assert code == 2 and "empty" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag,argv", [
     ("--window", ["render", "strip", "--series", "A", "--rank", "3", "--r", "1", "--t", "1",
                   "--window", "3"]),
@@ -206,9 +219,13 @@ def test_invalid_partition_exit_code(capsys):
                   "--window", "5:5"]),
     ("--blocks", ["render", "circle", "--model", "A", "--n", "3", "--blocks", "1,x|2"]),
     ("--n", ["enumerate", "--model", "A", "--n", "0"]),
+    ("--n", ["render", "circle", "--model", "A", "--n", "0", "--blocks", "1"]),
+    ("--max-rank", ["table", "--check", "--max-rank", "0"]),
+    ("--max-r", ["table", "--check", "--max-r", "0"]),
+    ("--max-rank", ["verify", "--max-rank", "-3"]),
 ])
 def test_malformed_flag_is_a_usage_error(tmp_path, capsys, flag, argv):
-    out_flag = [] if argv[0] == "enumerate" else ["--out", str(tmp_path / "out")]
+    out_flag = ["--out", str(tmp_path / "out")] if argv[0] == "render" else []
     code, out, err = run(capsys, *argv, *out_flag)
     assert code == 1
     assert f"argument {flag}:" in err
@@ -224,13 +241,30 @@ def test_internal_value_error_is_not_invalid_input(monkeypatch):
         main(["enumerate", "--model", "A", "--n", "3"])
 
 
-def test_env_cap_blocks_large_e(capsys, monkeypatch):
+E7 = ("--series", "E", "--rank", "7", "--r", "1", "--t", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", *E7),
+    ("count", *E7, "--check"),
+    ("render", "strip", *E7, "--index", "0", "--out"),
+], ids=["classify", "count-check", "render-strip"])
+def test_env_cap_blocks_large_e(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setenv("THICKET_MAX_RANK", "6")
-    code, _, err = run(
-        capsys, "classify", "--series", "E", "--rank", "7", "--r", "1", "--t", "1"
-    )
+    out_flag = [str(tmp_path / "x")] if argv[-1] == "--out" else []
+    code, out, err = run(capsys, *argv, *out_flag)
     assert code == 2
     assert "THICKET_MAX_RANK" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_plain_count_needs_no_cap(capsys, monkeypatch):
+    # the count is a closed formula, so only enumeration is capped
+    monkeypatch.setenv("THICKET_MAX_RANK", "6")
+    code, out, _ = run(capsys, "count", *E7)
+    assert code == 0 and out.strip() == "2"
+    code, out, _ = run(capsys, "count", "--series", "E", "--rank", "8", "--r", "30", "--t", "1")
+    assert code == 0 and out.strip() == "25080"
 
 
 def test_env_cap_must_be_an_integer(capsys, monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 from thicket.classifier import (
     CategoryType,
     InvarianceCriterion,
-    NoClosedForm,
     admissible_types_for_rank,
     count_thick_formula,
     enumerate_thick,

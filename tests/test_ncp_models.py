@@ -82,6 +82,8 @@ def test_partition_validation():
         SetPartitionA(3, ((1, 2),))
     with pytest.raises(ValueError):
         SetPartitionA(3, ((1, 2), (2, 3)))
+    with pytest.raises(NotAPartition, match="empty"):
+        SetPartitionA(3, ((1, 2), (), (3,)))
 
 
 # -- rotation ---------------------------------------------------------------
@@ -332,9 +334,13 @@ def test_signed_partitions_share_one_body():
         (4, ((1, 2), (-1, 3), (-2, -3), (4,), (-4,)), "mirror of a block is missing"),
         (4, ((1, -1), (2, -2), (3,), (-3,), (4,), (-4,)), "more than one zero block"),
         (4, ((1, -1), (2,), (-2,), (3,), (-3,), (4,), (-4,)), "single pair"),
+        (4, ((1,), (-1,), (2,), (-2,), (3,), (-3,), (4,), (-4,), ()), "a block is empty"),
     ]:
         with pytest.raises(NotAPartition, match=message):
             DPartition(n, bad)
+    # an empty block is not the zero block
+    with pytest.raises(NotAPartition, match="a block is empty"):
+        BPartition(1, ((1,), (-1,), ()))
 
 
 def test_d_chord_sanity_rejects_interleaved_boundary_chords():

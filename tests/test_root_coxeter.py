@@ -2,11 +2,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 
 from thicket import root_coxeter
+from thicket.classifier import CategoryType, count_thick_formula
 from thicket.linalg import (
     frac_inverse,
     identity,
@@ -69,6 +70,24 @@ def test_coxeter_numbers(series, rank_, h):
     d = DynkinType(series, rank_)
     assert d.coxeter_number == h
     assert d.exponent_bound == h - 1
+
+
+def test_degrees_against_group_orders():
+    # |W| is the product of the degrees and h the largest one
+    orders = [(DynkinType("A", n), factorial(n + 1), n + 1) for n in range(1, 9)]
+    orders += [(DynkinType("D", n), 2 ** (n - 1) * factorial(n), 2 * n - 2) for n in range(4, 9)]
+    orders += [
+        (DynkinType("E", 6), 51840, 12),
+        (DynkinType("E", 7), 2903040, 18),
+        (DynkinType("E", 8), 696729600, 30),
+    ]
+    for d, order, h in orders:
+        assert prod(d.degrees) == order, str(d)
+        assert max(d.degrees) == d.coxeter_number == h, str(d)
+    # at s = h conjugation fixes every element: the product is the interval size
+    for rank_, size in ((6, 833), (7, 4160), (8, 25080)):
+        d = DynkinType("E", rank_)
+        assert count_thick_formula(CategoryType(d, d.coxeter_number, 1)) == size
 
 
 # -- root systems --------------------------------------------------------
@@ -571,7 +590,8 @@ def test_kernel_of_zero_and_identity():
 
 
 def test_broken_invariant_is_a_named_runtime_error(monkeypatch):
-    monkeypatch.setitem(root_coxeter._POSITIVE_COUNTS["E"], 6, 35)
+    # a wrong degree table: its exponents sum to 35, not |Phi+| = 36
+    monkeypatch.setattr(DynkinType, "degrees", property(lambda d: (2, 5, 6, 8, 8, 12)))
     with pytest.raises(BrokenInvariant, match="36 positive roots, expected 35"):
         RootSystem(DynkinType("E", 6))
     assert issubclass(BrokenInvariant, RuntimeError)

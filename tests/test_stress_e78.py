@@ -2,16 +2,15 @@
 
 The E7 test runs by default (about 5 s); the E8 test is opt-in, enabled
 with THICKET_MAX_RANK=8, as its interval alone takes about half a
-minute.  There is no published count to compare against beyond the
-interval sizes, so the classification is checked for internal agreement
-only.
+minute.  The two classification routes are checked against each other,
+and their counts against the degree product of count_thick_formula.
 """
 
 import os
 
 import pytest
 
-from thicket.classifier import CategoryType, enumerate_thick
+from thicket.classifier import CategoryType, count_thick_formula, enumerate_thick
 from thicket.derived_engine import brute_force_classify, build_label_walk
 from thicket.root_coxeter import DynkinType, build_root_system, enumerate_nc, roots_below
 
@@ -50,8 +49,9 @@ def test_e8_interval_and_classification():
     d = DynkinType("E", 8)
     rs = build_root_system(d)
     assert len(enumerate_nc(rs)) == degree_count(30, (2, 8, 12, 14, 18, 20, 24, 30)) == 25080
-    for r in (6,):
+    for r in range(1, 61):
         ct = CategoryType(d, r, 1)
         enum = {x.nc.matrix for x in enumerate_thick(ct)}
         brute = {x.nc.matrix for x in brute_force_classify(ct)}
-        assert enum == brute
+        assert enum == brute, str(ct)
+        assert count_thick_formula(ct) == len(enum), str(ct)
