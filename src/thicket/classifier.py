@@ -217,7 +217,7 @@ def algebra_type_to_category_type(delta, frequency, t):
     return CategoryType(d, int(r), t)
 
 
-def classification_report(ct, check_brute_force=True):
+def classification_report(ct):
     crit = reduce_criterion(ct)
     enumerated = enumerate_thick(ct)
     doc = {
@@ -227,12 +227,10 @@ def classification_report(ct, check_brute_force=True):
         "count_enumerated": len(enumerated),
         "count_formula": count_thick_formula(ct),
     }
-    doc["agree"] = doc["count_formula"] == len(enumerated)
-    if check_brute_force:
-        brute = brute_force_classify(ct)
-        doc["count_brute_force"] = len(brute)
-        same = {d.nc.matrix for d in enumerated} == {d.nc.matrix for d in brute}
-        doc["agree"] = same and doc["agree"]
+    brute = brute_force_classify(ct)
+    doc["count_brute_force"] = len(brute)
+    same = {d.nc.matrix for d in enumerated} == {d.nc.matrix for d in brute}
+    doc["agree"] = same and doc["count_formula"] == len(enumerated)
     return doc
 
 

@@ -26,7 +26,6 @@ from .derived_engine import (
     build_label_walk,
     cluster_category_check,
     suspension_vertex_map,
-    tau_power,
 )
 from .ncp_models import (
     BadDivisor,
@@ -119,7 +118,11 @@ def _window(raw):
 
 def _blocks(raw):
     try:
-        return tuple(tuple(int(x) for x in part.split(",") if x.strip()) for part in raw.split("|"))
+        # a whole empty part is left for NotAPartition; an empty member is malformed
+        return tuple(
+            tuple(int(x) for x in part.split(",")) if part.strip() else ()
+            for part in raw.split("|")
+        )
     except ValueError:
         msg = f"expected comma lists of integers joined by '|', got {raw!r}"
         raise argparse.ArgumentTypeError(msg) from None
@@ -383,10 +386,14 @@ def _check_engine_identities(max_rank):
         for shift in (0, 1):
             if sorted(lab.layer_roots(shift)) != sorted(rs.positives):
                 return False, f"label layer failed for {d}"
+        # S^2 = tau^-h holds by construction; check what defines S
         s_map = suspension_vertex_map(d)
-        if s_map.power(2) != tau_power(rank, -d.coxeter_number):
-            return False, f"suspension square failed for {d}"
-    return True, "label layers biject and the suspension squares to the translation power"
+        for m in range(lab.h):
+            for q in range(1, rank + 1):
+                root, shift = lab.label(m, q)
+                if lab.label(*s_map(m, q)) != (root, shift + 1):
+                    return False, f"suspension does not fix the root and raise the shift at {(m, q)} for {d}"
+    return True, "label layers biject and the suspension fixes every root and raises every shift by one"
 
 
 def _check_classification(max_rank):

@@ -3,6 +3,11 @@
 Vertices are pairs (m, q) with q a 1-based vertex of Delta.  Every
 automorphism used here is a column permutation combined with per-column
 m-offsets, so composition, powers and inverses stay exact and hashable.
+One constructor, vertex_map, builds them all: one walk over the Dynkin
+tree fixes the relative offsets, and the power identity g^order = tau^k
+fixes the remaining constant.  phi_map has (order, k) = (t, 0), or
+(2, 1) for t = inf; the suspension is the Nakayama permutation with
+(2, -h).
 
 The labeling walk attaches (positive root, shift) to each vertex.  The
 translation tau is (m, q) -> (m - 1, q).  Walking in the +m direction
@@ -10,7 +15,7 @@ applies cox^-1 to roots and bumps the shift when the sign flips; over h
 steps every column returns to its root with the shift increased by 2.
 Consequently the shift-raising suspension map squares to m -> m + h,
 the h-th power of the inverse translation.  That orientation of the
-identity is pinned here once and asserted by the test suite.
+identity is pinned here once, in suspension_vertex_map.
 """
 
 from dataclasses import dataclass, field
@@ -107,144 +112,91 @@ def is_quiver_automorphism(delta, g, width=8):
     return True
 
 
-def _solve_offsets(delta, perm, normalize):
-    """Offsets making (perm, offset) an arrow-preserving map of ZDelta.
+def _tree_offsets(delta, rise):
+    """Column offsets with off[b] - off[a] = rise(a, b) along every arrow
+    a -> b of Delta, rooted at off[1] = 0 (Delta is a tree)."""
+    off = {1: 0}
+    while len(off) < delta.rank:
+        for (a, b) in arrows(delta):
+            if a in off and b not in off:
+                off[b] = off[a] + rise(a, b)
+            elif b in off and a not in off:
+                off[a] = off[b] - rise(a, b)
+    return [off[q] for q in range(1, delta.rank + 1)]
 
-    Along each arrow x -> y the relative offset is forced by whether the
-    image columns are joined by a quiver arrow or by a mesh arrow; the
-    remaining global constant is pinned by the requested power identity.
+
+def vertex_map(delta, perm, order, k, name=""):
+    """The vertex map of ZDelta with column permutation perm and g^order = tau^k.
+
+    Along an arrow a -> b of Delta the image columns are joined either by
+    a quiver arrow (equal offsets) or by a mesh arrow (the offset rises by
+    one); the power identity pins the remaining global constant.
     """
-    n = delta.rank
     arr = set(arrows(delta))
-    rel = {1: 0}
-    frontier = [1]
-    adjacency = {}
-    for (x, y) in arr:
-        adjacency.setdefault(x, []).append(y)
-        adjacency.setdefault(y, []).append(x)
-    while frontier:
-        x = frontier.pop()
-        for y in adjacency[x]:
-            if y in rel:
-                continue
-            a, b = (x, y) if (x, y) in arr else (y, x)
-            # constraint for the arrow a -> b
-            pa, pb = perm[a - 1], perm[b - 1]
-            if (pa, pb) in arr:
-                delta_off = 0
-            elif (pb, pa) in arr:
-                delta_off = 1
-            else:
-                raise InvalidType("column map is not a graph automorphism")
-            if y == b:
-                rel[y] = rel[x] + delta_off
-            else:
-                rel[y] = rel[x] - delta_off
-            frontier.append(y)
-    off = [rel[q] for q in range(1, n + 1)]
 
-    def orbit(q):
-        out = [q]
-        while perm[out[-1] - 1] != q:
-            out.append(perm[out[-1] - 1])
-        return out
+    def rise(a, b):
+        pa, pb = perm[a - 1], perm[b - 1]
+        _require((pa, pb) in arr or (pb, pa) in arr,
+                 f"column map {perm} is not a graph automorphism of {delta}")
+        return int((pb, pa) in arr)
 
-    if normalize == "involution":
-        num = -(off[0] + off[perm[0] - 1])
-        _require(num % 2 == 0, "the involution normalization has an odd shift numerator")
-        shift = num // 2
-    elif normalize == "square_is_translation":
-        # phi^2 = (m - 1, q), the A-even normalization
-        num = -1 - (off[0] + off[perm[0] - 1])
-        _require(num % 2 == 0, "the square_is_translation normalization has an odd shift numerator")
-        shift = num // 2
-    elif normalize == "order3":
-        orb = orbit(1)
-        _require(len(orb) == 3, f"an order-3 map has a first orbit of length {len(orb)}")
-        num = -sum(off[q - 1] for q in orb)
-        _require(num % 3 == 0, "the order3 normalization has a shift numerator prime to 3")
-        shift = num // 3
-    else:
-        raise ValueError(normalize)
-    out = tuple(o + shift for o in off)
-    # the chosen normalization must hold for every orbit, not just the first
-    for q in range(1, n + 1):
-        orb = orbit(q)
-        total = sum(out[t - 1] for t in orb)
-        if normalize == "involution":
-            ok = len(orb) <= 2 and total == 0
-        elif normalize == "square_is_translation":
-            ok = total == -1 and len(orb) == 2
-        else:
-            ok = total == 0
-        _require(ok, f"the {normalize} normalization fails on the orbit of column {q}")
-    return out
+    rel = _tree_offsets(delta, rise)
+    total, q = 0, 1
+    for _ in range(order):
+        total += rel[q - 1]
+        q = perm[q - 1]
+    shift = (-k - total) // order
+    g = QuiverAutomorphism(delta.rank, tuple(perm), tuple(o + shift for o in rel), name)
+    _require(g.power(order) == tau_power(delta.rank, k),
+             f"column map {perm} admits no offsets with g^{order} = tau^{k} on {delta}")
+    return g
+
+
+def _diagram_flip(delta):
+    """The order-2 graph automorphism of Delta (the identity when it has none)."""
+    n = delta.rank
+    if delta.series == "A":
+        return tuple(range(n, 0, -1))
+    if delta.series == "D":
+        return tuple(range(1, n - 1)) + (n, n - 1)
+    return (6, 5, 3, 4, 2, 1) if n == 6 else tuple(range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
 def phi_map(delta, t):
     """The order-t vertex map of ZDelta used in the automorphism group.
 
-    t = 1 is the identity; t = 2 the series reflection (central line for
-    A odd, arm swap for D, the column flip for E6); t = 3 the D4
-    rotation of the three outer arms; t = "inf" the A-even glide whose
-    square is one step of the translation.
+    t = 1 is the identity; t = 2 the diagram flip (central line for A
+    odd, arm swap for D, the column flip for E6); t = 3 the D4 rotation
+    of the three outer arms; t = "inf" the A-even flip whose square is
+    one step of the translation.
     """
     n = delta.rank
-    if t == 1:
-        return identity_map(n)
-    if t == "inf":
-        if delta.series != "A" or n % 2 != 0:
-            raise InvalidType("infinite order only occurs for A with even rank")
-        perm = tuple(n + 1 - q for q in range(1, n + 1))
-        return QuiverAutomorphism(
-            n, perm, _solve_offsets(delta, perm, "square_is_translation"), "phi"
-        )
-    if t == 3:
-        if delta != DynkinType("D", 4):
-            raise InvalidType("order 3 only occurs for D4")
-        perm = (3, 2, 4, 1)
-        return QuiverAutomorphism(n, perm, _solve_offsets(delta, perm, "order3"), "phi3")
-    if t == 2:
-        if delta.series == "A":
-            if n % 2 == 0 or n < 3:
-                raise InvalidType("order 2 for A needs odd rank >= 3")
-            perm = tuple(n + 1 - q for q in range(1, n + 1))
-        elif delta.series == "D":
-            perm = tuple(range(1, n - 1)) + (n, n - 1)
-        else:
-            if n != 6:
-                raise InvalidType("order 2 for E only occurs for E6")
-            perm = (6, 5, 3, 4, 2, 1)
-        return QuiverAutomorphism(n, perm, _solve_offsets(delta, perm, "involution"), "phi")
-    raise InvalidType(f"no automorphism of order {t!r} for {delta}")
+    ident = tuple(range(1, n + 1))
+    flip = _diagram_flip(delta)
+    a_even = delta.series == "A" and n % 2 == 0
+    table = {
+        1: (ident, 1, 0),
+        2: (flip, 2, 0) if flip != ident and not a_even else None,
+        3: ((3, 2, 4, 1), 3, 0) if delta == DynkinType("D", 4) else None,
+        "inf": (flip, 2, 1) if a_even else None,
+    }
+    if table.get(t) is None:
+        raise InvalidType(f"no automorphism of order {t!r} for {delta}")
+    return vertex_map(delta, *table[t], "phi")
 
 
+@lru_cache(maxsize=None)
 def suspension_vertex_map(delta):
     """Vertex map of the shift functor: fixes roots, raises shift by 1.
 
-    Series with a symmetry use it composed with half a turn of the
-    inverse translation; the self-dual series are a pure power.  Squares
-    to tau_power(-h) in all cases.
+    Its columns follow the Nakayama permutation (the diagram flip for A,
+    odd D and E6, the identity otherwise) and S^2 = tau^-h.
     """
-    n = delta.rank
-    h = delta.coxeter_number
-    series = delta.series
-    if series == "A" and n == 1:
-        s = tau_power(n, -1)
-    elif series == "A" and n % 2 == 0:
-        s = phi_map(delta, "inf").inverse() @ tau_power(n, -(h - 1) // 2)
-    elif series == "A":
-        s = phi_map(delta, 2) @ tau_power(n, -h // 2)
-    elif series == "D" and n % 2 == 1:
-        s = phi_map(delta, 2) @ tau_power(n, -h // 2)
-    elif series == "D":
-        s = tau_power(n, -h // 2)
-    elif delta == DynkinType("E", 6):
-        s = phi_map(delta, 2) @ tau_power(n, -h // 2)
-    else:
-        s = tau_power(n, -h // 2)
-    return QuiverAutomorphism(n, s.perm, s.offset, "S")
+    series, n = delta.series, delta.rank
+    flips = series == "A" or (series == "D" and n % 2) or delta == DynkinType("E", 6)
+    perm = _diagram_flip(delta) if flips else tuple(range(1, n + 1))
+    return vertex_map(delta, perm, 2, -delta.coxeter_number, "S")
 
 
 # -- labeling ----------------------------------------------------------
@@ -275,27 +227,13 @@ class Labeling:
             self._shift_col.append(shifts)
 
     def _slice_offsets(self):
-        """Column offsets placing the projectives on a slice of ZDelta."""
-        rs = self.rs
-        n = rs.rank
-        rel = {n: 0}
-        adjacency = {}
-        arr = set(rs.arrows)
-        for (x, y) in arr:
-            adjacency.setdefault(x, []).append(y)
-            adjacency.setdefault(y, []).append(x)
-        # along an arrow x -> y the radical inclusion P(y) -> P(x) is the
-        # mesh arrow (c, y) -> (c + 1, x), so sources sit one step right
-        frontier = [n]
-        while frontier:
-            x = frontier.pop()
-            for y in adjacency.get(x, ()):
-                if y in rel:
-                    continue
-                rel[y] = rel[x] + (1 if (y, x) in arr else -1)
-                frontier.append(y)
-        low = min(rel.values())
-        return tuple(rel[q] - low for q in range(1, n + 1))
+        """Column offsets placing the projectives on a slice of ZDelta.
+
+        Along an arrow x -> y the radical inclusion P(y) -> P(x) is the mesh
+        arrow (c, y) -> (c + 1, x), so sources sit one step right.
+        """
+        off = _tree_offsets(self.rs.delta, lambda a, b: -1)
+        return tuple(o - min(off) for o in off)
 
     def _walk_column(self, q):
         h = self.h

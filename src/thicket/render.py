@@ -6,8 +6,6 @@ the translation quiver out with mesh arrows pointing right and mark the
 vertices of a descriptor.
 """
 
-from dataclasses import dataclass
-
 from .derived_engine import build_label_walk
 from .root_coxeter import arrows
 
@@ -19,30 +17,6 @@ class WindowTooLarge(ValueError):
 
 
 MAX_STRIP_COLUMNS = 200
-
-
-@dataclass(frozen=True)
-class DiagramSpec:
-    kind: str  # circle_A | circle_D | ar_strip
-    payload: object
-    window: tuple = None
-    radius: float = 80.0
-    spacing: float = 28.0
-    domain_width: int = None
-
-    def render(self):
-        if self.kind == "circle_A":
-            return render_circle(self.payload, kind="A", radius=self.radius)
-        if self.kind == "circle_D":
-            return render_circle(self.payload, kind="D", radius=self.radius)
-        if self.kind == "ar_strip":
-            return render_ar_strip(
-                self.payload,
-                self.window,
-                spacing=self.spacing,
-                domain_width=self.domain_width,
-            )
-        raise ValueError(f"unknown diagram kind {self.kind!r}")
 
 
 def _fmt(x):

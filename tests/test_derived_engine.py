@@ -19,10 +19,12 @@ from thicket.derived_engine import (
     suspension_vertex_map,
     tau_power,
     thick_from_nc,
+    vertex_map,
     zd_arrows,
 )
 from thicket.ncp_models import ar_bijection_f, ar_bijection_g, sigma
 from thicket.root_coxeter import (
+    BrokenInvariant,
     DynkinType,
     absolute_length,
     build_root_system,
@@ -100,6 +102,103 @@ def test_phi_map_rejects_bad_orders():
         phi_map(DynkinType("E", 7), 2)
 
 
+def test_vertex_map_refuses_an_impossible_column_map():
+    # every column map the engine passes in is an internal constant, so a
+    # bad one is a fault, never "invalid mathematical input"
+    a3 = DynkinType("A", 3)
+    with pytest.raises(BrokenInvariant, match="not a graph automorphism"):
+        vertex_map(a3, (2, 1, 3), 2, 0)
+    with pytest.raises(BrokenInvariant, match="admits no offsets"):
+        vertex_map(a3, (1, 2, 3), 2, 1)
+    assert not issubclass(BrokenInvariant, ValueError)
+
+
+# (perm, offset) of every vertex map and the slice offsets of the labeling;
+# an order missing from PINNED_MAPS has no map for that type
+PINNED_MAPS = {
+    ("A1", 1): ((1,), (0,)),
+    ("A1", "S"): ((1,), (1,)),
+    ("A2", 1): ((1, 2), (0, 0)),
+    ("A2", "inf"): ((2, 1), (-1, 0)),
+    ("A2", "S"): ((2, 1), (1, 2)),
+    ("A3", 1): ((1, 2, 3), (0, 0, 0)),
+    ("A3", 2): ((3, 2, 1), (-1, 0, 1)),
+    ("A3", "S"): ((3, 2, 1), (1, 2, 3)),
+    ("A4", 1): ((1, 2, 3, 4), (0, 0, 0, 0)),
+    ("A4", "inf"): ((4, 3, 2, 1), (-2, -1, 0, 1)),
+    ("A4", "S"): ((4, 3, 2, 1), (1, 2, 3, 4)),
+    ("A5", 1): ((1, 2, 3, 4, 5), (0, 0, 0, 0, 0)),
+    ("A5", 2): ((5, 4, 3, 2, 1), (-2, -1, 0, 1, 2)),
+    ("A5", "S"): ((5, 4, 3, 2, 1), (1, 2, 3, 4, 5)),
+    ("A6", 1): ((1, 2, 3, 4, 5, 6), (0, 0, 0, 0, 0, 0)),
+    ("A6", "inf"): ((6, 5, 4, 3, 2, 1), (-3, -2, -1, 0, 1, 2)),
+    ("A6", "S"): ((6, 5, 4, 3, 2, 1), (1, 2, 3, 4, 5, 6)),
+    ("A7", 1): ((1, 2, 3, 4, 5, 6, 7), (0, 0, 0, 0, 0, 0, 0)),
+    ("A7", 2): ((7, 6, 5, 4, 3, 2, 1), (-3, -2, -1, 0, 1, 2, 3)),
+    ("A7", "S"): ((7, 6, 5, 4, 3, 2, 1), (1, 2, 3, 4, 5, 6, 7)),
+    ("A8", 1): ((1, 2, 3, 4, 5, 6, 7, 8), (0, 0, 0, 0, 0, 0, 0, 0)),
+    ("A8", "inf"): ((8, 7, 6, 5, 4, 3, 2, 1), (-4, -3, -2, -1, 0, 1, 2, 3)),
+    ("A8", "S"): ((8, 7, 6, 5, 4, 3, 2, 1), (1, 2, 3, 4, 5, 6, 7, 8)),
+    ("D4", 1): ((1, 2, 3, 4), (0, 0, 0, 0)),
+    ("D4", 2): ((1, 2, 4, 3), (0, 0, 0, 0)),
+    ("D4", 3): ((3, 2, 4, 1), (-1, 0, 0, 1)),
+    ("D4", "S"): ((1, 2, 3, 4), (3, 3, 3, 3)),
+    ("D5", 1): ((1, 2, 3, 4, 5), (0, 0, 0, 0, 0)),
+    ("D5", 2): ((1, 2, 3, 5, 4), (0, 0, 0, 0, 0)),
+    ("D5", "S"): ((1, 2, 3, 5, 4), (4, 4, 4, 4, 4)),
+    ("D6", 1): ((1, 2, 3, 4, 5, 6), (0, 0, 0, 0, 0, 0)),
+    ("D6", 2): ((1, 2, 3, 4, 6, 5), (0, 0, 0, 0, 0, 0)),
+    ("D6", "S"): ((1, 2, 3, 4, 5, 6), (5, 5, 5, 5, 5, 5)),
+    ("D7", 1): ((1, 2, 3, 4, 5, 6, 7), (0, 0, 0, 0, 0, 0, 0)),
+    ("D7", 2): ((1, 2, 3, 4, 5, 7, 6), (0, 0, 0, 0, 0, 0, 0)),
+    ("D7", "S"): ((1, 2, 3, 4, 5, 7, 6), (6, 6, 6, 6, 6, 6, 6)),
+    ("D8", 1): ((1, 2, 3, 4, 5, 6, 7, 8), (0, 0, 0, 0, 0, 0, 0, 0)),
+    ("D8", 2): ((1, 2, 3, 4, 5, 6, 8, 7), (0, 0, 0, 0, 0, 0, 0, 0)),
+    ("D8", "S"): ((1, 2, 3, 4, 5, 6, 7, 8), (7, 7, 7, 7, 7, 7, 7, 7)),
+    ("E6", 1): ((1, 2, 3, 4, 5, 6), (0, 0, 0, 0, 0, 0)),
+    ("E6", 2): ((6, 5, 3, 4, 2, 1), (0, 0, 0, 0, 0, 0)),
+    ("E6", "S"): ((6, 5, 3, 4, 2, 1), (6, 6, 6, 6, 6, 6)),
+    ("E7", 1): ((1, 2, 3, 4, 5, 6, 7), (0, 0, 0, 0, 0, 0, 0)),
+    ("E7", "S"): ((1, 2, 3, 4, 5, 6, 7), (9, 9, 9, 9, 9, 9, 9)),
+    ("E8", 1): ((1, 2, 3, 4, 5, 6, 7, 8), (0, 0, 0, 0, 0, 0, 0, 0)),
+    ("E8", "S"): ((1, 2, 3, 4, 5, 6, 7, 8), (15, 15, 15, 15, 15, 15, 15, 15)),
+}
+
+PINNED_SLICES = {
+    "A1": (0,),
+    "A2": (1, 0),
+    "A3": (2, 1, 0),
+    "A4": (3, 2, 1, 0),
+    "A5": (4, 3, 2, 1, 0),
+    "A6": (5, 4, 3, 2, 1, 0),
+    "A7": (6, 5, 4, 3, 2, 1, 0),
+    "A8": (7, 6, 5, 4, 3, 2, 1, 0),
+    "D4": (2, 1, 0, 0),
+    "D5": (3, 2, 1, 0, 0),
+    "D6": (4, 3, 2, 1, 0, 0),
+    "D7": (5, 4, 3, 2, 1, 0, 0),
+    "D8": (6, 5, 4, 3, 2, 1, 0, 0),
+    "E6": (0, 1, 2, 1, 1, 0),
+    "E7": (1, 2, 3, 2, 2, 1, 0),
+    "E8": (2, 3, 4, 3, 3, 2, 1, 0),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_SLICES))
+def test_vertex_maps_are_pinned(key):
+    d = DynkinType(key[0], int(key[1:]))
+    for t in (1, 2, 3, "inf"):
+        if (key, t) in PINNED_MAPS:
+            g = phi_map(d, t)
+            assert (g.perm, g.offset) == PINNED_MAPS[key, t]
+        else:
+            with pytest.raises(InvalidType):
+                phi_map(d, t)
+    s = suspension_vertex_map(d)
+    assert (s.perm, s.offset) == PINNED_MAPS[key, "S"]
+    assert build_label_walk(d).slice_offsets == PINNED_SLICES[key]
+
+
 def test_zd_arrow_shapes():
     arr = zd_arrows(DynkinType("A", 2), range(0, 1))
     assert ((0, 1), (0, 2)) in arr
@@ -141,7 +240,7 @@ def test_shift_periodicity():
 # -- suspension -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", ALL_SMALL)
+@pytest.mark.parametrize("spec", ALL_SMALL + [("E", 7), ("E", 8)])
 def test_suspension_raises_shift_and_fixes_root(spec):
     d = DynkinType(*spec)
     lab = build_label_walk(d)

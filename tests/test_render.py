@@ -6,7 +6,6 @@ import pytest
 from thicket.classifier import CategoryType, enumerate_thick
 from thicket.ncp_models import DPartition, SetPartitionA, rotate_a
 from thicket.render import (
-    DiagramSpec,
     WindowTooLarge,
     ascii_ar_strip,
     render_ar_strip,
@@ -133,11 +132,3 @@ def test_strip_window_limits():
         render_ar_strip(desc, (0, 500))
     with pytest.raises(ValueError):
         render_ar_strip(desc, (3, 3))
-
-
-def test_diagram_spec_dispatch():
-    p = SetPartitionA(3, ((1, 2, 3),))
-    spec = DiagramSpec("circle_A", p)
-    assert spec.render() == render_circle(p, kind="A")
-    with pytest.raises(ValueError):
-        DiagramSpec("nope", p).render()
