@@ -218,12 +218,12 @@ def test_empty_block_is_not_a_partition(tmp_path, capsys, model, n, blocks):
     ("--window", ["render", "strip", "--series", "A", "--rank", "3", "--r", "1", "--t", "1",
                   "--window", "5:5"]),
     ("--blocks", ["render", "circle", "--model", "A", "--n", "3", "--blocks", "1,x|2"]),
-    ("--blocks", ["render", "circle", "--model", "A", "--n", "3", "--blocks", "1,,2|3"]),
     ("--n", ["enumerate", "--model", "A", "--n", "0"]),
     ("--n", ["render", "circle", "--model", "A", "--n", "0", "--blocks", "1"]),
     ("--max-rank", ["table", "--check", "--max-rank", "0"]),
     ("--max-r", ["table", "--check", "--max-r", "0"]),
     ("--max-rank", ["verify", "--max-rank", "-3"]),
+    ("--blocks", ["render", "circle", "--model", "A", "--n", "3", "--blocks", "1,,2|3"]),
 ])
 def test_malformed_flag_is_a_usage_error(tmp_path, capsys, flag, argv):
     out_flag = ["--out", str(tmp_path / "out")] if argv[0] == "render" else []
