@@ -7,10 +7,10 @@ from math import comb, gcd, prod
 
 from .derived_engine import InvalidType, brute_force_classify, fixed_descriptors
 from .linalg import mat_pow, mat_vec
-from .root_coxeter import DynkinType, build_root_system, roots_below
+from .root_coxeter import DynkinType, InvalidInput, build_root_system, roots_below
 
 
-class ExcludedType(ValueError):
+class ExcludedType(InvalidInput):
     """The type needs its special-case criterion, not the parameter formula."""
 
 
@@ -18,7 +18,7 @@ class NoClosedForm(ValueError):
     """No longer raised: every admissible type has a closed count."""
 
 
-class NotAsashibaType(ValueError):
+class NotAsashibaType(InvalidInput):
     pass
 
 
@@ -183,8 +183,9 @@ def count_thick(ct, proper=False):
 def algebra_type_to_category_type(delta, frequency, t):
     """Stable-category type of a self-injective algebra type (delta, f, t).
 
-    The translation exponent is f * (h - 1); it must come out a positive
-    integer and (delta, f, t) must be an admissible algebra type.
+    (delta, t) must be admissible with finite t, and the denominator of f
+    must divide n for (A_n, 1), 3 for (D_n, 1) with 3 | n, and 1 otherwise.
+    The translation exponent f * (h - 1) must be a positive integer.
     """
     t = normalize_torsion(t)
     f = Fraction(frequency)
@@ -192,24 +193,14 @@ def algebra_type_to_category_type(delta, frequency, t):
         raise NotAsashibaType("frequency must be positive")
     d = delta
     n = d.rank
-    ok = False
-    if d.series == "A" and t == 1:
-        ok = (f * n).denominator == 1
-    elif d.series == "A" and t == 2:
-        ok = n % 2 == 1 and n >= 3 and f.denominator == 1
-    elif d.series == "D" and t == 1:
-        ok = f.denominator == 1 or (
-            n % 3 == 0 and n >= 6 and f.denominator == 3
-        )
-    elif d.series == "D" and t == 2:
-        ok = f.denominator == 1
-    elif d == DynkinType("D", 4) and t == 3:
-        ok = f.denominator == 1
-    elif d.series == "E" and t == 1:
-        ok = f.denominator == 1
-    elif d == DynkinType("E", 6) and t == 2:
-        ok = f.denominator == 1
-    if not ok:
+    if (d.series, t) == ("A", 1):
+        divisible = n
+    elif (d.series, t) == ("D", 1) and n % 3 == 0:
+        divisible = 3
+    else:
+        divisible = 1
+    admissible = t != "inf" and (d.series, n, t) in admissible_types_for_rank(n)
+    if not admissible or divisible % f.denominator:
         raise NotAsashibaType(f"({d}, {f}, {t}) is not an algebra type")
     r = f * (d.coxeter_number - 1)
     if r.denominator != 1 or r < 1:
@@ -218,20 +209,33 @@ def algebra_type_to_category_type(delta, frequency, t):
 
 
 def classification_report(ct):
+    """The one cross-check of a cell: the criterion's descriptors against
+    brute force's, compared by root set, and the count formula against
+    the enumeration.
+
+    "witnesses" holds one descriptor, tagged "kept_by", for every root
+    set that only one side keeps.
+    """
     crit = reduce_criterion(ct)
-    enumerated = enumerate_thick(ct)
-    doc = {
+    sides = {"enumerated": enumerate_thick(ct), "brute_force": brute_force_classify(ct)}
+    roots = {side: {d.roots for d in descs} for side, descs in sides.items()}
+    witnesses = [
+        {"kept_by": side, **d.to_json()}
+        for side, other in (("enumerated", "brute_force"), ("brute_force", "enumerated"))
+        for d in sides[side]
+        if d.roots not in roots[other]
+    ]
+    formula = count_thick_formula(ct)
+    return {
         "type": ct.to_json(),
         "criterion": crit.mode,
         "s": crit.s,
-        "count_enumerated": len(enumerated),
-        "count_formula": count_thick_formula(ct),
+        "count_enumerated": len(sides["enumerated"]),
+        "count_brute_force": len(sides["brute_force"]),
+        "count_formula": formula,
+        "witnesses": witnesses,
+        "agree": not witnesses and formula == len(sides["enumerated"]),
     }
-    brute = brute_force_classify(ct)
-    doc["count_brute_force"] = len(brute)
-    same = {d.nc.matrix for d in enumerated} == {d.nc.matrix for d in brute}
-    doc["agree"] = same and doc["count_formula"] == len(enumerated)
-    return doc
 
 
 # -- the overview table -------------------------------------------------
@@ -309,26 +313,6 @@ def overview_markdown():
             f"| {row['type']} | {row['classifying']} | {row['alternative']} | {row['count']} |"
         )
     return "\n".join(lines) + "\n"
-
-
-def overview_evaluate(n_values, r_values):
-    """Numeric table cells for a grid, cross-checked against enumeration."""
-    out = []
-    for n in n_values:
-        for r in r_values:
-            for series, rank, t in admissible_types_for_rank(n):
-                ct = CategoryType(DynkinType(series, rank), r, t)
-                formula = count_thick_formula(ct)
-                enumerated = len(enumerate_thick(ct))
-                out.append(
-                    {
-                        "type": ct.to_json(),
-                        "count_formula": formula,
-                        "count_enumerated": enumerated,
-                        "agree": formula == enumerated,
-                    }
-                )
-    return out
 
 
 def admissible_types_for_rank(n):

@@ -16,23 +16,17 @@ from .classifier import (
     CategoryType,
     classification_report,
     count_thick,
-    count_thick_formula,
     enumerate_thick,
     overview_markdown,
     overview_table,
 )
 from .derived_engine import (
-    brute_force_classify,
     build_label_walk,
     cluster_category_check,
     suspension_vertex_map,
 )
 from .ncp_models import (
-    BadDivisor,
-    Crossing,
     DPartition,
-    NotAPartition,
-    NotInvariant,
     SetPartitionA,
     ar_bijection_f,
     construct_fiber,
@@ -44,10 +38,8 @@ from .ncp_models import (
 )
 from .root_coxeter import (
     DynkinType,
+    InvalidInput,
     InvalidType,
-    NotARoot,
-    NotInInterval,
-    WrongSeries,
     build_root_system,
     enumerate_nc,
 )
@@ -61,24 +53,8 @@ class UsageError(Exception):
     """Bad input from the command line or the environment (exit 1)."""
 
 
-class IndexOutOfRange(ValueError):
+class IndexOutOfRange(InvalidInput):
     pass
-
-
-_MATH_ERRORS = (
-    InvalidType,
-    NotARoot,
-    NotInInterval,
-    WrongSeries,
-    Crossing,
-    NotInvariant,
-    BadDivisor,
-    NotAPartition,
-    classifier.ExcludedType,
-    classifier.NotAsashibaType,
-    render.WindowTooLarge,
-    IndexOutOfRange,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,6 +102,18 @@ def _blocks(raw):
     except ValueError:
         msg = f"expected comma lists of integers joined by '|', got {raw!r}"
         raise argparse.ArgumentTypeError(msg) from None
+
+
+def _mismatch_lines(ct, report):
+    """The cell and its three counts, then one line per witness."""
+    lines = [
+        f"mismatch for {ct}: formula={report['count_formula']} "
+        f"enumerated={report['count_enumerated']} "
+        f"brute_force={report['count_brute_force']}"
+    ]
+    for w in report["witnesses"]:
+        lines.append(f"kept only by {w['kept_by']}: element {w['nc']['matrix']} roots {w['roots']}")
+    return lines
 
 
 def _category_type(args):
@@ -191,17 +179,9 @@ def cmd_count(args):
     shown = count_thick(ct, proper=args.proper)
     if args.check:
         report = classification_report(_within_cap(ct))
-        if args.json:
-            print(json.dumps(report, sort_keys=True))
-        else:
-            print(shown)
+        print(json.dumps(report, sort_keys=True) if args.json else shown)
         if not report["agree"]:
-            print(
-                f"mismatch for {ct}: formula={report['count_formula']} "
-                f"enumerated={report['count_enumerated']} "
-                f"brute_force={report['count_brute_force']}",
-                file=sys.stderr,
-            )
+            print("\n  ".join(_mismatch_lines(ct, report)), file=sys.stderr)
             return MISMATCH
         return 0
     if args.json:
@@ -267,6 +247,12 @@ def cmd_render(args):
 
 
 def cmd_table(args):
+    cells = [
+        _within_cap(CategoryType(DynkinType(series, rank), r, t))
+        for n in range(1, args.max_rank + 1)
+        for r in range(1, args.max_r + 1)
+        for series, rank, t in classifier.admissible_types_for_rank(n)
+    ] if args.check else []
     rows = overview_table()
     if args.json:
         print(json.dumps(list(rows), indent=2))
@@ -275,13 +261,12 @@ def cmd_table(args):
     if not args.check:
         return 0
     bad = []
-    for n in range(1, args.max_rank + 1):
-        cells = classifier.overview_evaluate([n], range(1, args.max_r + 1))
-        bad.extend(c for c in cells if not c["agree"])
+    for ct in cells:
+        report = classification_report(ct)
+        if not report["agree"]:
+            bad.append("\n  ".join(_mismatch_lines(ct, report)))
     if bad:
-        print(f"{len(bad)} cells disagree with enumeration:", file=sys.stderr)
-        for c in bad:
-            print(f"  {c}", file=sys.stderr)
+        print("\n".join(bad), file=sys.stderr)
         return MISMATCH
     print(f"all table cells agree with enumeration up to rank {args.max_rank}")
     return 0
@@ -406,14 +391,11 @@ def _check_classification(max_rank):
             d = DynkinType(series, rank)
             for r in range(1, 2 * d.coxeter_number + 1):
                 ct = CategoryType(d, r, t)
-                enum = {x.nc.matrix for x in enumerate_thick(ct)}
-                brute = {x.nc.matrix for x in brute_force_classify(ct)}
-                if enum != brute:
-                    bad.append(f"{ct}: criterion != brute force")
-                if count_thick_formula(ct) != len(enum):
-                    bad.append(f"{ct}: formula != enumeration")
+                report = classification_report(ct)
+                if not report["agree"]:
+                    bad.append("; ".join(_mismatch_lines(ct, report)))
     if bad:
-        return False, f"classification disagrees: {bad[:5]}"
+        return False, f"classification disagrees: {' | '.join(bad[:5])}"
     e_types = ", ".join(f"E{n}" for n in (6, 7, 8) if n <= e_cap)
     e_part = f" and for series E ({e_types})" if e_types else ""
     return True, (
@@ -485,7 +467,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except _MATH_ERRORS as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_ERROR
     except UsageError as exc:

@@ -1,11 +1,10 @@
 """Exact integer linear algebra on tuple-of-tuples matrices.
 
 Matrices are immutable tuples of tuples of ints and act on column
-vectors (tuples of ints).  Everything is fraction-free or uses
-fractions.Fraction internally, so results are exact.
+vectors (tuples of ints).  Every elimination is fraction-free, so
+results are exact.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -77,7 +76,7 @@ def kernel(m):
     """Basis of the null space of m over the rationals, as primitive
     integer vectors: one per free column, with a positive entry there.
 
-    Fraction-free Gauss-Jordan elimination: each pivot row is subtracted
+    Gauss-Jordan elimination over the integers: each pivot row is subtracted
     from the others by cross-multiplication and every row is divided by
     the gcd of its entries, so no fraction appears and entries stay small.
     """
@@ -110,31 +109,24 @@ def kernel(m):
     return tuple(basis)
 
 
-def frac_inverse(m):
-    """Exact inverse over the rationals, as a tuple of tuples of Fractions."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 def scaled_inverse(m):
-    """(d m^-1, d) for the least d > 0 making d m^-1 an integer matrix."""
-    inv = frac_inverse(m)
-    d = lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(int(x * d) for x in row) for row in inv), d
+    """(d m^-1, d) for the least d > 0 making d m^-1 an integer matrix.
+
+    Read off the kernel of [m | -I]: m is invertible exactly when the
+    basis vector of each free column n + j is (d_j m^-1 e_j, d_j e_j)
+    with d_j > 0, and d is the lcm of the d_j.
+    """
+    n = len(m)
+    basis = kernel(tuple(tuple(row) + tuple(-int(i == j) for j in range(n))
+                         for i, row in enumerate(m)))
+    scales = [v[n + j] for j, v in enumerate(basis)]
+    if any(s <= 0 or v[n:] != tuple(s * (i == j) for i in range(n))
+           for j, (v, s) in enumerate(zip(basis, scales))):
+        raise ValueError("matrix is singular")
+    d = lcm(*scales)
+    return tuple(
+        tuple(basis[j][i] * (d // scales[j]) for j in range(n)) for i in range(n)
+    ), d
 
 
 def mat_inverse(m):

@@ -10,6 +10,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .root_coxeter import (
+    InvalidInput,
     NotInInterval,
     WrongSeries,
     enumerate_nc,
@@ -22,19 +23,19 @@ from .root_coxeter import (
 )
 
 
-class Crossing(ValueError):
+class Crossing(InvalidInput):
     pass
 
 
-class NotInvariant(ValueError):
+class NotInvariant(InvalidInput):
     pass
 
 
-class BadDivisor(ValueError):
+class BadDivisor(InvalidInput):
     pass
 
 
-class NotAPartition(ValueError):
+class NotAPartition(InvalidInput):
     """Blocks that do not form a partition of the model's label set."""
 
 

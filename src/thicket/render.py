@@ -7,12 +7,12 @@ vertices of a descriptor.
 """
 
 from .derived_engine import build_label_walk
-from .root_coxeter import arrows
+from .root_coxeter import InvalidInput, arrows
 
 import math
 
 
-class WindowTooLarge(ValueError):
+class WindowTooLarge(InvalidInput):
     pass
 
 

@@ -28,19 +28,23 @@ from .linalg import (
 )
 
 
-class InvalidType(ValueError):
+class InvalidInput(ValueError):
+    """Invalid mathematical input (exit 2); every such error subclasses it."""
+
+
+class InvalidType(InvalidInput):
     pass
 
 
-class NotARoot(ValueError):
+class NotARoot(InvalidInput):
     pass
 
 
-class NotInInterval(ValueError):
+class NotInInterval(InvalidInput):
     pass
 
 
-class WrongSeries(ValueError):
+class WrongSeries(InvalidInput):
     pass
 
 

@@ -24,13 +24,13 @@ from thicket.classifier import (
     overview_markdown,
 )
 from thicket.derived_engine import (
-    apply_map_to_descriptor,
     brute_force_classify,
     build_label_walk,
     cluster_category_check,
     identity_map,
     phi_map,
     phi_fixes_sigma_on_nc,
+    root_permutation,
     suspension_vertex_map,
     tau_power,
     thick_from_nc,
@@ -51,6 +51,7 @@ from thicket.root_coxeter import (
     DynkinType,
     build_root_system,
     enumerate_nc,
+    roots_below,
 )
 
 
@@ -179,7 +180,7 @@ def test_criterion_07_d4_triality():
     d4 = DynkinType("D", 4)
     rs = build_root_system(d4)
     lab = build_label_walk(d4)
-    tri = phi_map(d4, 3)
+    tri = root_permutation(lab, phi_map(d4, 3))
     for r in (3, 6, 9, 12):
         descs = brute_force_classify(CategoryType(d4, r, 3))
         assert len(descs) == 8
@@ -187,8 +188,8 @@ def test_criterion_07_d4_triality():
         assert len(proper) == 6
         assert sorted(len(x.roots) for x in proper) == [1, 1, 1, 3, 3, 3]
         for x in proper:
-            image = apply_map_to_descriptor(rs, lab, x, tri)
-            assert image.nc == x.nc  # rotation-fixed by construction
+            image = frozenset(tri[a] for a in x.roots)
+            assert image == roots_below(rs, x.nc)  # rotation-fixed by construction
         cox, coxinv = rs.cox, rs.cox.inverse()
         for size in (1, 3):
             family = {x.nc.matrix for x in proper if len(x.roots) == size}

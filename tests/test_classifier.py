@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, gcd
 
@@ -19,7 +20,6 @@ from thicket.classifier import (
     criterion_root_map,
     enumerate_thick,
     is_invariant_nc,
-    overview_evaluate,
     overview_markdown,
     overview_table,
     parameter_p,
@@ -304,6 +304,29 @@ def test_algebra_conversion_never_infinite():
         algebra_type_to_category_type(DynkinType("A", 4), 1, "inf")
 
 
+def test_algebra_conversion_grid_is_pinned():
+    # the outcome at every point of a fixed grid, pinned by digest:
+    # A1-A9, D4-D12, E6-E8; t in 1, 2, 3, inf; f = a/b, -2 <= a < 40, 1 <= b < 15
+    deltas = [DynkinType("A", n) for n in range(1, 10)]
+    deltas += [DynkinType("D", n) for n in range(4, 13)]
+    deltas += [DynkinType("E", n) for n in (6, 7, 8)]
+    lines = []
+    for d in deltas:
+        for t in (1, 2, 3, "inf"):
+            for a in range(-2, 40):
+                for b in range(1, 15):
+                    try:
+                        c = algebra_type_to_category_type(d, Fraction(a, b), t)
+                        out = f"{c.delta}:{c.r}:{c.t}"
+                    except NotAsashibaType:
+                        out = "NotAsashibaType"
+                    lines.append(f"{d},{t},{a}/{b}={out}")
+    assert len(lines) == 49392
+    assert sum(not line.endswith("=NotAsashibaType") for line in lines) == 5091
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0ef6023cb49450b919aa600c108f3c9d5c736cf83d512aa924d87ea82d895518"
+
+
 # -- reports and the overview --------------------------------------------------------------
 
 
@@ -312,6 +335,7 @@ def test_classification_report_agreement():
     assert doc["criterion"] == "cox_conjugation"
     assert doc["s"] == 2
     assert doc["count_formula"] == doc["count_enumerated"] == doc["count_brute_force"] == 6
+    assert doc["witnesses"] == []
     assert doc["agree"] is True
 
 
@@ -338,8 +362,3 @@ def test_overview_rows():
     assert "gcd(12, r + 6)" in e6_row["classifying"]
     md = overview_markdown()
     assert md.count("\n") == 11  # header, separator, nine rows
-
-
-def test_overview_evaluation_grid():
-    cells = overview_evaluate([2, 3], range(1, 5))
-    assert all(c["agree"] for c in cells)

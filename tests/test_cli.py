@@ -142,6 +142,46 @@ def test_table_json_and_check(capsys):
     assert len(rows) == 9
 
 
+A3_CELL = ("--series", "A", "--rank", "3", "--r", "2", "--t", "1")
+
+
+def _drop_last_descriptor(monkeypatch):
+    """Make the criterion lose its last descriptor at (A3, 2, 1) only."""
+    cell = classifier.CategoryType(thicket.DynkinType("A", 3), 2, 1)
+    real = classifier.enumerate_thick
+    monkeypatch.setattr(
+        classifier, "enumerate_thick", lambda c: real(c)[:-1] if c == cell else real(c)
+    )
+    return real(cell)[-1]
+
+
+def test_count_check_names_the_witness(capsys, monkeypatch):
+    dropped = _drop_last_descriptor(monkeypatch)
+    code, out, err = run(capsys, "count", *A3_CELL, "--check")
+    assert code == 3 and out.strip() == "6"
+    assert "(A3, 2, 1)" in err
+    assert str([list(row) for row in dropped.nc.matrix]) in err
+    assert str(sorted(list(a) for a in dropped.roots)) in err
+    code, out, _ = run(capsys, "count", *A3_CELL, "--check", "--json")
+    doc = json.loads(out)
+    assert code == 3 and doc["agree"] is False
+    assert doc["witnesses"] == [{"kept_by": "brute_force", **dropped.to_json()}]
+
+
+def test_table_check_names_the_cell(capsys, monkeypatch):
+    _drop_last_descriptor(monkeypatch)
+    code, _, err = run(capsys, "table", "--check", "--max-rank", "3", "--max-r", "4")
+    assert code == 3
+    assert err.startswith("mismatch for (A3, 2, 1)") and err.count("mismatch") == 1
+
+
+def test_verify_classification_check_names_the_cell(monkeypatch):
+    _drop_last_descriptor(monkeypatch)
+    ok, detail = cli._check_classification(3)
+    assert not ok
+    assert "(A3, 2, 1)" in detail and "kept only by brute_force" in detail
+
+
 def test_render_circle_files(tmp_path, capsys):
     out_file = tmp_path / "c.svg"
     code, out, _ = run(
@@ -249,7 +289,8 @@ E7 = ("--series", "E", "--rank", "7", "--r", "1", "--t", "1")
     ("classify", *E7),
     ("count", *E7, "--check"),
     ("render", "strip", *E7, "--index", "0", "--out"),
-], ids=["classify", "count-check", "render-strip"])
+    ("table", "--check", "--max-rank", "7"),
+], ids=["classify", "count-check", "render-strip", "table-check"])
 def test_env_cap_blocks_large_e(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setenv("THICKET_MAX_RANK", "6")
     out_flag = [str(tmp_path / "x")] if argv[-1] == "--out" else []

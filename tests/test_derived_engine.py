@@ -5,7 +5,6 @@ from thicket.derived_engine import (
     InvalidType,
     MixedRoots,
     QuiverAutomorphism,
-    apply_map_to_descriptor,
     brute_force_classify,
     build_label_walk,
     cluster_category_check,
@@ -291,10 +290,10 @@ def test_tau_equivariance_square(spec):
     rs = build_root_system(d)
     lab = build_label_walk(d)
     cox, coxinv = rs.cox, rs.cox.inverse()
-    tau = tau_power(d.rank, 1)
+    tau = root_permutation(lab, tau_power(d.rank, 1))
     for w in enumerate_nc(rs):
-        image = apply_map_to_descriptor(rs, lab, thick_from_nc(rs, w), tau)
-        assert image.nc == cox * w * coxinv
+        image = frozenset(tau[a] for a in roots_below(rs, w))
+        assert image == roots_below(rs, cox * w * coxinv)
 
 
 @pytest.mark.parametrize("spec", ALL_SMALL)
@@ -371,12 +370,14 @@ def test_triality_action_structure():
     d = DynkinType("D", 4)
     rs = build_root_system(d)
     lab = build_label_walk(d)
-    tri = phi_map(d, 3)
+    tri = root_permutation(lab, phi_map(d, 3))
+    # distinct interval elements have distinct root sets
+    element_of = {roots_below(rs, w): w for w in enumerate_nc(rs)}
     image = {}
     for w in enumerate_nc(rs):
-        img = apply_map_to_descriptor(rs, lab, thick_from_nc(rs, w), tri)
-        image[w.matrix] = img.nc.matrix
-        assert absolute_length(rs, w) == absolute_length(rs, img.nc)
+        img = element_of[frozenset(tri[a] for a in roots_below(rs, w))]
+        image[w.matrix] = img.matrix
+        assert absolute_length(rs, w) == absolute_length(rs, img)
     assert sorted(image) == sorted(image.values())
     assert all(image[image[image[m]]] == m for m in image)
     # the swap realizes the inverse: conjugating by it inverts the rotation
@@ -387,16 +388,15 @@ def test_triality_cycles_the_arm_simples():
     d = DynkinType("D", 4)
     rs = build_root_system(d)
     lab = build_label_walk(d)
-    tri = phi_map(d, 3)
+    tri = root_permutation(lab, phi_map(d, 3))
     simple = {q: tuple(int(i == q - 1) for i in range(4)) for q in (1, 3, 4)}
     refl = {q: next(w for w in enumerate_nc(rs)
                     if roots_below(rs, w) == frozenset({simple[q]}))
             for q in (1, 3, 4)}
-    img = {q: apply_map_to_descriptor(rs, lab, thick_from_nc(rs, refl[q]), tri)
-           for q in (1, 3, 4)}
-    assert img[3].roots == frozenset({simple[4]})
-    assert img[4].roots == frozenset({simple[1]})
-    assert img[1].roots == frozenset({simple[3]})
+    img = {q: frozenset(tri[a] for a in roots_below(rs, refl[q])) for q in (1, 3, 4)}
+    assert img[3] == roots_below(rs, refl[4])
+    assert img[4] == roots_below(rs, refl[1])
+    assert img[1] == roots_below(rs, refl[3])
 
 
 def test_triality_witness_invariant_wide_a2():

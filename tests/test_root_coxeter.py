@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from fractions import Fraction
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from thicket import root_coxeter
 from thicket.classifier import CategoryType, count_thick_formula
 from thicket.linalg import (
-    frac_inverse,
     identity,
     kernel,
     mat_inverse,
@@ -18,6 +16,7 @@ from thicket.linalg import (
     mat_sub,
     mat_vec,
     rank,
+    scaled_inverse,
 )
 from thicket.root_coxeter import (
     BrokenInvariant,
@@ -158,12 +157,26 @@ def test_reflection_rejects_non_roots():
 
 
 def test_exact_inverses():
-    assert frac_inverse(((2, 0), (1, 1))) == ((Fraction(1, 2), 0), (Fraction(-1, 2), 1))
+    assert scaled_inverse(((2, 0), (1, 1))) == (((1, 0), (-1, 2)), 2)
     assert mat_inverse(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
     with pytest.raises(ValueError):
         mat_inverse(((2, 0), (1, 1)))  # invertible over Q only
     with pytest.raises(ValueError):
-        frac_inverse(((1, 2), (2, 4)))  # singular
+        scaled_inverse(((1, 2), (2, 4)))  # singular
+
+
+def test_scaled_inverse_against_rank():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        if rank(m) < n:
+            with pytest.raises(ValueError, match="singular"):
+                scaled_inverse(m)
+            continue
+        inv, d = scaled_inverse(m)
+        assert mat_mul(m, inv) == tuple(tuple(d * x for x in row) for row in identity(n))
+        assert gcd(d, *(x for row in inv for x in row)) == 1  # d is least
 
 
 def test_coxeter_element_order_is_coxeter_number():
