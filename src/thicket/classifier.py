@@ -217,7 +217,10 @@ def classification_report(ct):
     set that only one side keeps.
     """
     crit = reduce_criterion(ct)
-    sides = {"enumerated": enumerate_thick(ct), "brute_force": brute_force_classify(ct)}
+    enumerated = enumerate_thick(ct)
+    # at (D4, r, 3) enumerate_thick already is brute force
+    brute = enumerated if crit.mode == "d4_triality" else brute_force_classify(ct)
+    sides = {"enumerated": enumerated, "brute_force": brute}
     roots = {side: {d.roots for d in descs} for side, descs in sides.items()}
     witnesses = [
         {"kept_by": side, **d.to_json()}

@@ -29,6 +29,7 @@ from .root_coxeter import (
     build_root_system,
     enumerate_nc,
     roots_below,
+    _interval,
     _require,
 )
 
@@ -364,16 +365,32 @@ def fixed_descriptors(rs, root_map):
     """Descriptors of the interval elements whose root set root_map maps
     onto itself, in interval order.
 
-    root_map is a permutation of the positive roots.  Every
-    classification route is this filter; the routes differ only in where
-    the permutation comes from.
+    root_map is a permutation of the positive roots; anything else raises
+    BrokenInvariant.  It is read once as a permutation of the indices of
+    rs.positives and split into cycles, each a bitmask.  A finite set is
+    mapped onto itself exactly when it is a union of cycles, so an element
+    is kept exactly when its root mask meets every nontrivial cycle c in
+    nothing or in all of c; each cycle in turn filters the survivors of
+    the one before.  Every classification route is this filter; the
+    routes differ only in where the permutation comes from.
     """
-    out = []
-    for w in enumerate_nc(rs):
-        roots = roots_below(rs, w)
-        if all(root_map[a] in roots for a in roots):
-            out.append(ThickDescriptor(rs.delta, w, roots))
-    return out
+    index = {a: i for i, a in enumerate(rs.positives)}
+    perm = [index.get(root_map.get(a)) for a in rs.positives]
+    _require(None not in perm and len(set(perm)) == len(perm),
+             f"root map is not a permutation of the positive roots of {rs.delta}")
+    cycles, seen = [], 0
+    for start in range(len(perm)):
+        cycle, i = 0, start
+        while not (seen | cycle) >> i & 1:
+            cycle |= 1 << i
+            i = perm[i]
+        seen |= cycle
+        if cycle & (cycle - 1):
+            cycles.append(cycle)
+    kept = list(_interval(rs).values())
+    for c in cycles:
+        kept = [e for e in kept if (e[1] & c) in (0, c)]
+    return [ThickDescriptor(rs.delta, w, roots) for w, _, roots in kept]
 
 
 def generator_map(ct):

@@ -22,6 +22,14 @@ def mat_vec(a, v):
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
+def sub_outer(a, u, v):
+    """a - u v^T, the rank-one update; rows where u is 0 are a's own."""
+    return tuple(
+        row if not c else tuple(x - c * y for x, y in zip(row, v))
+        for row, c in zip(a, u)
+    )
+
+
 def mat_pow(a, k):
     n = len(a)
     if k < 0:

@@ -10,7 +10,11 @@ the reflections t below x = w^-1 cox, and the root set of an element is
 the set of reflections that reach it from the layer below.  The search
 ranks nothing.  By Carter's lemma l(x) = dim Mov(x), and by Brady-Watt
 (2002) s_a <= x iff a is orthogonal to Fix(x) = ker(x - 1), so one
-integer kernel of x - 1 per element gives all its children at once.
+integer kernel of x - 1 per element of the lower half gives all its
+children at once; x is itself in the interval, so past the middle layer
+its root set is already in the table.  Root sets are bitmasks over
+rs.positives, with a frozenset view for callers, and reflections act by
+rank-one updates, so the search multiplies no matrices.
 """
 
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ from .linalg import (
     mat_vec,
     rank,
     scaled_inverse,
+    sub_outer,
 )
 
 
@@ -186,11 +191,8 @@ class RootSystem:
         )
 
     def _reflection_matrix(self, v):
-        n = self.rank
-        cv = mat_vec(self.sym_form, v)
-        return tuple(
-            tuple(int(i == j) - v[i] * cv[j] for j in range(n)) for i in range(n)
-        )
+        """s_v = 1 - v (B v)^T."""
+        return sub_outer(identity(self.rank), v, mat_vec(self.sym_form, v))
 
     def _close_roots(self):
         n = self.rank
@@ -301,44 +303,56 @@ def _reflections_below(rs, x):
 
 
 def _interval(rs):
-    """[id, cox] as a dict from each element's matrix to its root set,
-    ordered by reflection length, then matrix; built once per root system.
+    """[id, cox] as an insertion-ordered dict from each element's matrix to
+    its entry (GroupElement, mask, root set), ordered by reflection length,
+    then matrix; built once per root system.
 
-    Each w is carried with x = w^-1 cox.  As l(wt) <= l(w) + 1 and
-    l(wt) + l(t x) >= n, wt is one layer up exactly when l(t x) =
-    l(x) - 1, that is when t <= x.  So one integer kernel of x - 1
-    (_reflections_below) gives every child and no candidate is rejected.
-    Each s_a <= v reaches v from the layer below, as v = (v s_a) s_a.
+    The mask has bit i set when rs.positives[i] is in the root set.  Each
+    w is carried with x = w^-1 cox.  As l(wt) <= l(w) + 1 and l(wt) +
+    l(t x) >= n, wt is one layer up exactly when l(t x) = l(x) - 1, that
+    is when t <= x.  So one integer kernel of x - 1 (_reflections_below)
+    gives every child and no candidate is rejected.  Each s_a <= v
+    reaches v from the layer below, as v = (v s_a) s_a, and ORs its bit
+    into the mask of v, so a finished layer holds the mask of every
+    reflection below each of its elements.  x is in the interval, with
+    l(x) = n - l(w), so from the middle layer on its mask is read from
+    the table instead of a kernel.  With s_a = 1 - a (B a)^T the
+    products are rank-one updates: w s_a = w - (w a)(B a)^T for every
+    edge, and s_a x = x - a ((B a)^T x) once per new child.
     """
     if rs._interval_cache is not None:
         return rs._interval_cache
-    n = rs.rank
-    eye = identity(n)
-    refls = [(v, rs._reflection_matrix(v)) for v in rs.positives]
-    table = {eye: frozenset()}
-    layer = [(eye, rs.cox.matrix)]
-    for _ in range(n):
-        found = {}  # wt -> (t x, roots reaching wt)
+    positives, forms = rs.positives, rs._root_forms
+    table = {rs.identity.matrix: (rs.identity, 0, frozenset())}
+    layer = [(rs.identity.matrix, rs.cox.matrix)]
+    for _ in range(rs.rank):
+        found = {}  # wt -> [t x, mask of the roots reaching wt]
         for w, x in layer:
-            below = _reflections_below(rs, x)
-            for i, (v, t) in enumerate(refls):
-                if not below >> i & 1:
-                    continue
-                wt = mat_mul(w, t)
-                if wt not in found:
-                    found[wt] = (mat_mul(t, x), [])
-                found[wt][1].append(v)
+            known = table.get(x)
+            below = known[1] if known else _reflections_below(rs, x)
+            while below:
+                i = (below & -below).bit_length() - 1
+                below &= below - 1
+                a, b = positives[i], forms[i]
+                wt = sub_outer(w, mat_vec(w, a), b)
+                entry = found.get(wt)
+                if entry is None:
+                    tx = sub_outer(x, a, mat_vec(tuple(zip(*x)), b))
+                    found[wt] = [tx, 1 << i]
+                else:
+                    entry[1] |= 1 << i
         layer = sorted((wt, tx) for wt, (tx, _) in found.items())
         for wt, _ in layer:
-            table[wt] = frozenset(found[wt][1])
+            mask = found[wt][1]
+            roots = frozenset(v for i, v in enumerate(positives) if mask >> i & 1)
+            table[wt] = (GroupElement(wt), mask, roots)
     rs._interval_cache = table
     return table
 
 
-@lru_cache(maxsize=None)
 def enumerate_nc(rs):
     """All w with id <= w <= cox, ordered by reflection length then matrix."""
-    return tuple(map(GroupElement, _interval(rs)))
+    return tuple(w for w, _, _ in _interval(rs).values())
 
 
 def in_nc(rs, w):
@@ -351,12 +365,10 @@ def roots_below(rs, w):
     This is the root-set model of the subcategory attached to w: the
     dimension vectors of its indecomposables.
     """
-    # read the cache first: every classification makes this lookup for
-    # every interval element, and the call to _interval costs a quarter of it
-    roots = (rs._interval_cache or _interval(rs)).get(w.matrix)
-    if roots is None:
+    entry = _interval(rs).get(w.matrix)
+    if entry is None:
         raise NotInInterval(f"element is not in the interval below cox({rs.delta})")
-    return roots
+    return entry[2]
 
 
 # -- permutation specializations --------------------------------------

@@ -339,6 +339,22 @@ def test_classification_report_agreement():
     assert doc["agree"] is True
 
 
+@pytest.mark.parametrize("cell,count", [(("D", 4, 1, 3), 5), (("D", 4, 3, 3), 8), (("D", 4, 3, 2), 20)])
+def test_classification_report_runs_brute_force_once(monkeypatch, cell, count):
+    # at (D4, r, 3) enumerate_thick is brute force, which the report reuses
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return brute_force_classify(c)
+
+    monkeypatch.setattr(classifier, "brute_force_classify", counted)
+    doc = classification_report(ct(*cell))
+    assert calls == [ct(*cell)]
+    assert doc["count_formula"] == doc["count_enumerated"] == doc["count_brute_force"] == count
+    assert doc["agree"] is True
+
+
 def test_classification_report_flags_tabulated_disagreement(monkeypatch):
     doc = classification_report(ct("D", 4, 3, 2))
     assert doc["count_formula"] == doc["count_enumerated"] == doc["count_brute_force"] == 20

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thicket.classifier import CategoryType
+from thicket.classifier import (
+    CategoryType,
+    admissible_types_for_rank,
+    criterion_root_map,
+    reduce_criterion,
+)
 from thicket.derived_engine import (
     InvalidType,
     MixedRoots,
@@ -8,6 +15,7 @@ from thicket.derived_engine import (
     brute_force_classify,
     build_label_walk,
     cluster_category_check,
+    fixed_descriptors,
     generator_map,
     identity_map,
     is_invariant_vertex_set,
@@ -458,3 +466,79 @@ def test_descriptor_json():
     assert len(doc["marked_vertices"]) == 6
     assert doc["roots"] == [[0, 1], [1, 0], [1, 1]]
     assert doc["nc"]["cycles"] == [[1, 2, 3]]
+
+
+# -- the invariance filter ---------------------------------------------------
+
+
+def reference_fixed(rs, root_map):
+    """The filter's definition on frozensets: root sets root_map maps into
+    themselves (onto, as root_map is injective and the sets are finite)."""
+    out = []
+    for w in enumerate_nc(rs):
+        roots = roots_below(rs, w)
+        if all(root_map[a] in roots for a in roots):
+            out.append((w, roots))
+    return out
+
+
+def assert_filter_matches_reference(rs, root_map):
+    got = [(d.nc, d.roots) for d in fixed_descriptors(rs, root_map)]
+    assert got == reference_fixed(rs, root_map)
+
+
+def classification_root_maps(d):
+    """Every root map a classification route of the type builds: one per
+    criterion and per generator over 1 <= r <= 2h, plus both cluster-check
+    orbit constructions."""
+    rs = build_root_system(d)
+    lab = build_label_walk(d)
+    maps = {}
+    for series, rank, t in admissible_types_for_rank(d.rank):
+        if (series, rank) != (d.series, d.rank):
+            continue
+        for r in range(1, 2 * d.coxeter_number + 1):
+            ct = CategoryType(d, r, t)
+            crit = reduce_criterion(ct)
+            if crit.mode != "d4_triality":
+                maps[crit] = criterion_root_map(rs, crit)
+            maps[str(ct)] = root_permutation(lab, generator_map(ct))
+    for power in (1, 2):
+        g = suspension_vertex_map(d).power(power) @ tau_power(d.rank, -1)
+        maps[f"cluster {power}"] = root_permutation(lab, g)
+    return maps
+
+
+@pytest.mark.parametrize("spec", ALL_SMALL)
+def test_mask_filter_matches_the_reference_on_every_classification_map(spec):
+    d = DynkinType(*spec)
+    rs = build_root_system(d)
+    for root_map in classification_root_maps(d).values():
+        assert_filter_matches_reference(rs, root_map)
+
+
+@pytest.mark.parametrize("spec", [("A", 5), ("D", 5), ("E", 6)])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mask_filter_matches_the_reference_on_random_permutations(spec, data):
+    # a random permutation of a random subset of the roots, the rest fixed,
+    # so that proper invariant sets are common
+    rs = build_root_system(DynkinType(*spec))
+    n = len(rs.positives)
+    moved = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    images = data.draw(st.permutations(moved))
+    perm = list(range(n))
+    for i, j in zip(moved, images):
+        perm[i] = j
+    assert_filter_matches_reference(rs, {a: rs.positives[j] for a, j in zip(rs.positives, perm)})
+
+
+def test_mask_filter_rejects_a_root_map_that_is_no_permutation():
+    rs = build_root_system(DynkinType("A", 3))
+    first = rs.positives[0]
+    collapsed = {a: first for a in rs.positives}
+    missing = {a: a for a in rs.positives[1:]}
+    negated = {a: tuple(-x for x in a) for a in rs.positives}
+    for root_map in (collapsed, missing, negated):
+        with pytest.raises(BrokenInvariant):
+            fixed_descriptors(rs, root_map)

@@ -17,6 +17,7 @@ from thicket.linalg import (
     mat_vec,
     rank,
     scaled_inverse,
+    sub_outer,
 )
 from thicket.root_coxeter import (
     BrokenInvariant,
@@ -411,11 +412,13 @@ def test_kernel_mask_matches_the_absolute_order(spec):
 
 
 # sha256 of the JSON of [matrix, sorted root set] over the table, in order,
-# as the rank-per-candidate search built it; the kernel search must agree
+# as the rank-per-candidate search built it (E7: as the kernel search with
+# matrix products built it); the rank-one kernel search must agree
 INTERVAL_DIGESTS = {
     ("A", 5): "6faeb918c620dd4f4962f6c96471361b9ead024d5724e21ddc646086cdd8fbf2",
     ("D", 6): "b7c9d1134c648231ae86bcff491f60d41d6b737e715f6d43cf74a9771ad732e2",
     ("E", 6): "23e1a09311be0e7748f8e5067ffec965b4b65fc220e3b3ca1c0bc9fcf7372eca",
+    ("E", 7): "6f1ce5b8d4352de32ae5d418757687df438ae72b0fbc04a34495b431be1148ae",
 }
 
 
@@ -423,8 +426,8 @@ INTERVAL_DIGESTS = {
 def test_interval_table_digest(spec):
     rs = build_root_system(DynkinType(*spec))
     doc = [
-        [[list(row) for row in m], sorted(list(v) for v in roots)]
-        for m, roots in root_coxeter._interval(rs).items()
+        [[list(row) for row in w.matrix], sorted(list(v) for v in roots_below(rs, w))]
+        for w in enumerate_nc(rs)
     ]
     digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digest == INTERVAL_DIGESTS[spec]
@@ -600,6 +603,17 @@ def test_kernel_of_zero_and_identity():
         assert kernel(tuple((0,) * n for _ in range(n))) == identity(n)
         assert kernel(identity(n)) == ()
     assert kernel(((2, 4),)) == ((-2, 1),)
+
+
+def test_sub_outer_is_the_rank_one_difference():
+    rng = random.Random(12)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        u = [rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(rows)]
+        v = [rng.randint(-3, 3) for _ in range(cols)]
+        outer = tuple(tuple(x * y for y in v) for x in u)
+        assert sub_outer(a, u, v) == mat_sub(a, outer)
 
 
 def test_broken_invariant_is_a_named_runtime_error(monkeypatch):

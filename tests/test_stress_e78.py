@@ -1,9 +1,10 @@
 """Stress tests for the two largest exceptional types.
 
-The E7 test runs by default (about 5 s); the E8 test is opt-in, enabled
-with THICKET_MAX_RANK=8, as its interval alone takes about half a
-minute.  The two classification routes are checked against each other,
-and their counts against the degree product of count_thick_formula.
+The E7 test runs by default (about 1 s); the E8 test is opt-in, enabled
+with THICKET_MAX_RANK=8, and takes about 11 s on a 2-core VM, most of it
+the cold interval.  The two classification routes are checked against
+each other, and their counts against the degree product of
+count_thick_formula.
 """
 
 import os
