@@ -5,9 +5,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
 
-from .derived_engine import InvalidType, brute_force_classify, fixed_descriptors
-from .linalg import mat_pow, mat_vec
-from .root_coxeter import DynkinType, InvalidInput, build_root_system, roots_below
+from .derived_engine import InvalidType, brute_force_classify, fixed_by_cycles
+from .root_coxeter import (
+    DynkinType,
+    InvalidInput,
+    build_root_system,
+    cycle_masks,
+    index_permutation,
+    roots_below,
+)
 
 
 class ExcludedType(InvalidInput):
@@ -95,30 +101,53 @@ def reduce_criterion(ct):
     return InvarianceCriterion("cox_conjugation", gcd(h, parameter_p(ct)))
 
 
-def criterion_root_map(rs, crit):
-    """The permutation alpha -> ±L alpha of the positive roots whose
-    fixed root sets are the interval elements the criterion keeps.
+def criterion_permutation(rs, crit):
+    """The criterion's root map alpha -> ±L alpha as (index permutation of
+    rs.positives, its nontrivial cycle masks), built once per root system
+    and criterion.
 
     Conjugation by L sends the root set of w to that of L w L^-1.  For
-    cox_conjugation L = cox^s.  For sigma_rho_power L = P cox^s, with P
-    the swap of the simple roots n-1 and n: cox conjugation acts on the
-    D model as sigma.rho (coxeter_conjugation_is_sigma_rho) and the arm
-    swap as sigma (phi_fixes_sigma_on_nc), so sigma^(s+1) rho^s is
-    conjugation by P cox^s.
+    cox_conjugation L = cox^s, the s-th power of rs.cox_permutation.  For
+    sigma_rho_power L = P cox^s, with P the swap of the simple roots n-1
+    and n: cox conjugation acts on the D model as sigma.rho
+    (coxeter_conjugation_is_sigma_rho) and the arm swap as sigma
+    (phi_fixes_sigma_on_nc), so sigma^(s+1) rho^s is conjugation by
+    P cox^s.  No matrix is multiplied: cox^h = 1, so the power is taken
+    mod h by composing index permutations.
     """
-    if crit.mode == "d4_triality":
-        raise ExcludedType("(D4, r, 3) has no interval-level criterion; it is oracle-only")
-    if crit.mode not in ("cox_conjugation", "sigma_rho_power"):
-        raise InvalidType(f"unknown criterion mode {crit.mode!r}")
-    L = mat_pow(rs.cox.matrix, crit.s)
-    if crit.mode == "sigma_rho_power":
-        n = rs.rank
-        L = L[: n - 2] + (L[n - 1], L[n - 2])  # P L: swap the last two rows
-    return {a: rs.normalize_root(mat_vec(L, a))[0] for a in rs.positives}
+    cached = rs._permutation_cache.get(crit)
+    if cached is None:
+        if crit.mode == "d4_triality":
+            raise ExcludedType("(D4, r, 3) has no interval-level criterion; it is oracle-only")
+        if crit.mode not in ("cox_conjugation", "sigma_rho_power"):
+            raise InvalidType(f"unknown criterion mode {crit.mode!r}")
+        cox = rs.cox_permutation
+        perm = tuple(range(len(cox)))
+        for _ in range(crit.s % rs.delta.coxeter_number):
+            perm = tuple(cox[i] for i in perm)
+        if crit.mode == "sigma_rho_power":
+            n = rs.rank
+            swap = index_permutation(
+                rs, {a: a[: n - 2] + (a[n - 1], a[n - 2]) for a in rs.positives}
+            )
+            perm = tuple(swap[i] for i in perm)
+        cached = rs._permutation_cache[crit] = (perm, cycle_masks(perm))
+    return cached
+
+
+def criterion_root_map(rs, crit):
+    """The permutation alpha -> ±L alpha of the positive roots whose
+    fixed root sets are the interval elements the criterion keeps, as a
+    dict: a view of the cached index permutation criterion_permutation."""
+    perm, _ = criterion_permutation(rs, crit)
+    return {a: rs.positives[j] for a, j in zip(rs.positives, perm)}
 
 
 def is_invariant_nc(rs, w, crit):
-    """Is the root set of w closed under the criterion's root map?"""
+    """Is the root set of w closed under the criterion's root map?
+
+    Reference definition for the tests; nothing in src/ calls it.
+    """
     roots = roots_below(rs, w)
     root_map = criterion_root_map(rs, crit)
     return all(root_map[a] in roots for a in roots)
@@ -133,7 +162,7 @@ def enumerate_thick(ct):
     if crit.mode == "d4_triality":
         return brute_force_classify(ct)
     rs = build_root_system(ct.delta)
-    return fixed_descriptors(rs, criterion_root_map(rs, crit))
+    return fixed_by_cycles(rs, criterion_permutation(rs, crit)[1])
 
 
 def catalan(n):

@@ -27,7 +27,9 @@ from .root_coxeter import (
     InvalidType,
     arrows,
     build_root_system,
+    cycle_masks,
     enumerate_nc,
+    index_permutation,
     roots_below,
     _interval,
     _require,
@@ -89,7 +91,11 @@ def tau_power(n, k):
 
 
 def zd_arrows(delta, m_range):
-    """Arrows of ZDelta with source m-coordinate in m_range."""
+    """Arrows of ZDelta with source m-coordinate in m_range.
+
+    Reference definition for the tests; only is_quiver_automorphism, a
+    reference too, calls it in src/.
+    """
     out = set()
     for m in m_range:
         for (x, y) in arrows(delta):
@@ -99,7 +105,10 @@ def zd_arrows(delta, m_range):
 
 
 def is_quiver_automorphism(delta, g, width=8):
-    """Check arrow preservation on a finite strip (for tests)."""
+    """Check arrow preservation on a finite strip.
+
+    Reference definition for the tests; nothing in src/ calls it.
+    """
     span = range(-width, width)
     reach = max(abs(o) for o in g.offset) + 2
     arr = zd_arrows(delta, range(-width - reach, width + reach))
@@ -217,6 +226,7 @@ class Labeling:
         self.coxinv = mat_inverse(rs.cox.matrix)
         proj = mat_inverse(rs.euler_form)
         self.projectives = tuple(tuple(row) for row in proj)
+        self._permutations = {}  # vertex map -> vertex_map_permutation
         for row in self.projectives:
             _require(row in rs.positives, "projective seed is not a positive root")
         self._root_col = []
@@ -323,6 +333,10 @@ class ThickDescriptor:
 
 
 def thick_from_nc(rs, w):
+    """A fresh descriptor of the interval element w.
+
+    Reference definition for the tests; nothing in src/ calls it.
+    """
     return ThickDescriptor(rs.delta, w, roots_below(rs, w))
 
 
@@ -332,6 +346,7 @@ def is_invariant_vertex_set(labeling, desc, g):
     Marks are m-periodic with period h, so agreement on a strip of
     width 2h decides invariance globally.  This vertex-level scan is the
     reference that root_permutation's root-level filter is tested against.
+    Reference definition for the tests; nothing in src/ calls it.
     """
     h = labeling.h
     for m in range(2 * h):
@@ -349,6 +364,9 @@ def root_permutation(labeling, g):
     root maps to vertices carrying one common root, invariance of a
     vertex set reduces to closure of its root set under this map.
     Raises MixedRoots when g mixes roots (never for the maps built here).
+    Each call walks the labeling afresh; the classification routes read
+    the map through vertex_map_permutation, which walks once per vertex
+    map and caches it as an index permutation of rs.positives.
     """
     out = {}
     h = labeling.h
@@ -361,36 +379,61 @@ def root_permutation(labeling, g):
     return out
 
 
+def _descriptor_table(rs):
+    """(mask, ThickDescriptor) for every interval element, in interval
+    order; built once per root system."""
+    if rs._descriptor_cache is None:
+        rs._descriptor_cache = tuple(
+            (mask, ThickDescriptor(rs.delta, w, roots)) for w, mask, roots in _interval(rs).values()
+        )
+    return rs._descriptor_cache
+
+
+def fixed_by_cycles(rs, cycles):
+    """Descriptors of the interval elements whose root mask meets each
+    cycle mask c in nothing or in all of c, as a new list in interval order.
+
+    A finite set is mapped onto itself by a permutation exactly when it
+    is a union of its cycles, so with the nontrivial cycle masks of a
+    root map these are the elements whose root set it fixes.  Each cycle
+    in turn filters the survivors of the one before; the descriptors are
+    the ones built once per root system.
+    """
+    kept = _descriptor_table(rs)
+    for c in cycles:
+        ends = (0, c)
+        kept = [e for e in kept if e[0] & c in ends]
+    return [d for _, d in kept]
+
+
 def fixed_descriptors(rs, root_map):
     """Descriptors of the interval elements whose root set root_map maps
     onto itself, in interval order.
 
-    root_map is a permutation of the positive roots; anything else raises
-    BrokenInvariant.  It is read once as a permutation of the indices of
-    rs.positives and split into cycles, each a bitmask.  A finite set is
-    mapped onto itself exactly when it is a union of cycles, so an element
-    is kept exactly when its root mask meets every nontrivial cycle c in
-    nothing or in all of c; each cycle in turn filters the survivors of
-    the one before.  Every classification route is this filter; the
-    routes differ only in where the permutation comes from.
+    root_map is a permutation of the positive roots as a dict; anything
+    else raises BrokenInvariant.  It is read once as an index permutation
+    of rs.positives (index_permutation), split into its cycle masks and
+    filtered by fixed_by_cycles.  Every classification route is this
+    filter; the routes differ only in where the permutation comes from,
+    and the cached ones (criterion_permutation, vertex_map_permutation)
+    hand their cycle masks to fixed_by_cycles directly.
     """
-    index = {a: i for i, a in enumerate(rs.positives)}
-    perm = [index.get(root_map.get(a)) for a in rs.positives]
-    _require(None not in perm and len(set(perm)) == len(perm),
-             f"root map is not a permutation of the positive roots of {rs.delta}")
-    cycles, seen = [], 0
-    for start in range(len(perm)):
-        cycle, i = 0, start
-        while not (seen | cycle) >> i & 1:
-            cycle |= 1 << i
-            i = perm[i]
-        seen |= cycle
-        if cycle & (cycle - 1):
-            cycles.append(cycle)
-    kept = list(_interval(rs).values())
-    for c in cycles:
-        kept = [e for e in kept if (e[1] & c) in (0, c)]
-    return [ThickDescriptor(rs.delta, w, roots) for w, _, roots in kept]
+    return fixed_by_cycles(rs, cycle_masks(index_permutation(rs, root_map)))
+
+
+def vertex_map_permutation(labeling, g):
+    """root_permutation(labeling, g) as (index permutation of
+    labeling.rs.positives, its nontrivial cycle masks).
+
+    The labeling walk runs, and its map is checked to be a permutation
+    (BrokenInvariant otherwise), once per vertex map; the result is kept
+    on the labeling.
+    """
+    cached = labeling._permutations.get(g)
+    if cached is None:
+        perm = index_permutation(labeling.rs, root_permutation(labeling, g))
+        cached = labeling._permutations[g] = (perm, cycle_masks(perm))
+    return cached
 
 
 def generator_map(ct):
@@ -410,10 +453,13 @@ def brute_force_classify(ct):
     """The interval elements whose vertex set the generator fixes.
 
     This is the oracle for every closed formula and interval-level
-    criterion, and the only route for (D4, r, 3), which has none.
+    criterion, and the only route for (D4, r, 3), which has none.  The
+    root map is the generator's root_permutation off the labeling walk,
+    as the index permutation vertex_map_permutation caches.
     """
     labeling = build_label_walk(ct.delta)
-    return fixed_descriptors(labeling.rs, root_permutation(labeling, generator_map(ct)))
+    _, cycles = vertex_map_permutation(labeling, generator_map(ct))
+    return fixed_by_cycles(labeling.rs, cycles)
 
 
 def phi_fixes_sigma_on_nc(rs):
@@ -447,7 +493,7 @@ def cluster_category_check(delta, power=1):
     rs = build_root_system(delta)
     labeling = build_label_walk(delta)
     g = suspension_vertex_map(delta).power(power) @ tau_power(delta.rank, -1)
-    invariant = fixed_descriptors(rs, root_permutation(labeling, g))
+    invariant = fixed_by_cycles(rs, vertex_map_permutation(labeling, g)[1])
     failures = tuple(
         d.nc for d in invariant if d.roots not in (frozenset(), frozenset(rs.positives))
     )

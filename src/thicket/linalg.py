@@ -31,6 +31,10 @@ def sub_outer(a, u, v):
 
 
 def mat_pow(a, k):
+    """a^k for an integer matrix (k < 0 needs a invertible over Z).
+
+    Reference definition for the tests; nothing in src/ calls it.
+    """
     n = len(a)
     if k < 0:
         return mat_pow(mat_inverse(a), -k)
@@ -146,7 +150,10 @@ def mat_inverse(m):
 
 
 def mat_order(m, cap=10000):
-    """Multiplicative order of an integer matrix of finite order."""
+    """Multiplicative order of an integer matrix of finite order.
+
+    Reference definition for the tests; nothing in src/ calls it.
+    """
     n = len(m)
     e = identity(n)
     p = m

@@ -451,7 +451,10 @@ def ar_bijection_g(rs, p):
 
 
 def is_in_nc_d(rs, p):
-    """Authoritative noncrossing test for the D model, via the group side."""
+    """Authoritative noncrossing test for the D model, via the group side.
+
+    Reference definition for the tests; nothing in src/ calls it.
+    """
     try:
         ar_bijection_g(rs, p)
         return True
@@ -464,6 +467,7 @@ def d_chord_sanity(p):
 
     Forget the centroid labels ±n and test the blocks on the (2n-2)-gon
     labelled 1..n-1, -1..-(n-1) like an A-model diagram.
+    Reference definition for the tests; nothing in src/ calls it.
     """
     n = p.n
     blocks = (tuple(_boundary_position(n, x) + 1 for x in b if abs(x) != n) for b in p.blocks)

@@ -14,7 +14,9 @@ integer kernel of x - 1 per element of the lower half gives all its
 children at once; x is itself in the interval, so past the middle layer
 its root set is already in the table.  Root sets are bitmasks over
 rs.positives, with a frozenset view for callers, and reflections act by
-rank-one updates, so the search multiplies no matrices.
+rank-one updates, so the search multiplies no matrices.  A root map is
+an index permutation of rs.positives, split into cycle masks; cox's is
+computed once per root system.
 """
 
 from dataclasses import dataclass
@@ -160,6 +162,7 @@ class RootSystem:
             tuple(int(i == j) for j in range(n)) for i in range(n)
         )
         self.positives = self._close_roots()
+        self._root_index = {a: i for i, a in enumerate(self.positives)}
         # row i is B a_i: (a_i, v) = row i . v for every positive root a_i
         self._root_forms = tuple(mat_vec(self.sym_form, v) for v in self.positives)
         self._simple_reflections = tuple(
@@ -178,7 +181,16 @@ class RootSystem:
         )
         _require(self.cox.matrix == expected, f"Coxeter element of {delta} is not -E^-1 E^T")
         self.identity = GroupElement(identity(n))
+        # cox's action a -> ±cox a on the positive roots, as the index of
+        # the image of each root of self.positives
+        self.cox_permutation = index_permutation(
+            self, {a: self.normalize_root(self.cox(a))[0] for a in self.positives}
+        )
         self._interval_cache = None
+        # filled by the classification routes: (mask, descriptor) per
+        # interval element, and root maps as (index permutation, cycles)
+        self._descriptor_cache = None
+        self._permutation_cache = {}
 
     # -- construction ------------------------------------------------
 
@@ -369,6 +381,34 @@ def roots_below(rs, w):
     if entry is None:
         raise NotInInterval(f"element is not in the interval below cox({rs.delta})")
     return entry[2]
+
+
+# -- root maps as index permutations -----------------------------------
+
+
+def index_permutation(rs, root_map):
+    """The root map, a dict on rs.positives, as the tuple of the indices of
+    its images in rs.positives; BrokenInvariant unless it is a permutation."""
+    index = rs._root_index
+    perm = tuple(index.get(root_map.get(a)) for a in rs.positives)
+    _require(None not in perm and len(set(perm)) == len(perm),
+             f"root map is not a permutation of the positive roots of {rs.delta}")
+    return perm
+
+
+def cycle_masks(perm):
+    """The nontrivial cycles of an index permutation, each a bitmask with
+    bit i set for each index i on the cycle, in order of their least index."""
+    cycles, seen = [], 0
+    for start in range(len(perm)):
+        cycle, i = 0, start
+        while not (seen | cycle) >> i & 1:
+            cycle |= 1 << i
+            i = perm[i]
+        seen |= cycle
+        if cycle & (cycle - 1):
+            cycles.append(cycle)
+    return tuple(cycles)
 
 
 # -- permutation specializations --------------------------------------

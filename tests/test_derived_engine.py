@@ -4,8 +4,11 @@ from hypothesis import strategies as st
 
 from thicket.classifier import (
     CategoryType,
+    InvarianceCriterion,
     admissible_types_for_rank,
+    criterion_permutation,
     criterion_root_map,
+    enumerate_thick,
     reduce_criterion,
 )
 from thicket.derived_engine import (
@@ -15,6 +18,7 @@ from thicket.derived_engine import (
     brute_force_classify,
     build_label_walk,
     cluster_category_check,
+    fixed_by_cycles,
     fixed_descriptors,
     generator_map,
     identity_map,
@@ -27,12 +31,15 @@ from thicket.derived_engine import (
     tau_power,
     thick_from_nc,
     vertex_map,
+    vertex_map_permutation,
     zd_arrows,
 )
+from thicket.linalg import mat_pow, mat_vec
 from thicket.ncp_models import ar_bijection_f, ar_bijection_g, sigma
 from thicket.root_coxeter import (
     BrokenInvariant,
     DynkinType,
+    RootSystem,
     absolute_length,
     build_root_system,
     enumerate_nc,
@@ -542,3 +549,90 @@ def test_mask_filter_rejects_a_root_map_that_is_no_permutation():
     for root_map in (collapsed, missing, negated):
         with pytest.raises(BrokenInvariant):
             fixed_descriptors(rs, root_map)
+
+
+# -- cached root maps -----------------------------------------------------------
+
+
+def matrix_criterion_map(rs, crit):
+    """The criterion's root map built with matrices: alpha -> ±L alpha with
+    L = cox^s, or P cox^s where P swaps the simple roots n-1 and n."""
+    L = mat_pow(rs.cox.matrix, crit.s)
+    if crit.mode == "sigma_rho_power":
+        n = rs.rank
+        L = L[: n - 2] + (L[n - 1], L[n - 2])
+    return {a: rs.normalize_root(mat_vec(L, a))[0] for a in rs.positives}
+
+
+def as_root_map(rs, perm):
+    return {a: rs.positives[j] for a, j in zip(rs.positives, perm)}
+
+
+def cells_of(d):
+    for series, rank, t in admissible_types_for_rank(d.rank):
+        if (series, rank) == (d.series, d.rank):
+            for r in range(1, 2 * d.coxeter_number + 1):
+                yield CategoryType(d, r, t)
+
+
+@pytest.mark.parametrize("spec", ALL_SMALL)
+def test_cached_root_maps_match_their_references(spec):
+    # every cached index permutation against the map it stands for: the
+    # criterion's against the matrix construction, the engine's against a
+    # fresh labeling walk; and each route's descriptors against the filter's
+    # definition on that reference map
+    d = DynkinType(*spec)
+    rs = build_root_system(d)
+    lab = build_label_walk(d)
+    criterion_fixed = {}
+    for ct in cells_of(d):
+        crit = reduce_criterion(ct)
+        if crit.mode != "d4_triality":
+            if crit not in criterion_fixed:
+                reference = matrix_criterion_map(rs, crit)
+                assert as_root_map(rs, criterion_permutation(rs, crit)[0]) == reference, str(ct)
+                assert criterion_root_map(rs, crit) == reference, str(ct)
+                criterion_fixed[crit] = reference_fixed(rs, reference)
+            got = [(x.nc, x.roots) for x in enumerate_thick(ct)]
+            assert got == criterion_fixed[crit], str(ct)
+        g = generator_map(ct)
+        walk = root_permutation(lab, g)
+        assert as_root_map(rs, vertex_map_permutation(lab, g)[0]) == walk, str(ct)
+        got = [(x.nc, x.roots) for x in brute_force_classify(ct)]
+        assert got == reference_fixed(rs, walk), str(ct)
+    for power in (1, 2):
+        g = suspension_vertex_map(d).power(power) @ tau_power(d.rank, -1)
+        walk = root_permutation(lab, g)
+        perm, cycles = vertex_map_permutation(lab, g)
+        assert as_root_map(rs, perm) == walk
+        assert [(x.nc, x.roots) for x in fixed_by_cycles(rs, cycles)] == reference_fixed(rs, walk)
+
+
+@pytest.mark.parametrize("route", [enumerate_thick, brute_force_classify])
+@pytest.mark.parametrize("cell", [("E", 6, 4, 1), ("E", 6, 12, 1), ("D", 4, 1, 3), ("A", 5, 2, 2)])
+def test_route_results_share_no_list(route, cell):
+    # (E6, 12, 1) fixes every root, so its filter has no cycle to run
+    ct = CategoryType(DynkinType(*cell[:2]), *cell[2:])
+    first, second = route(ct), route(ct)
+    assert first == second and first is not second
+    kept = list(second)
+    first.clear()
+    assert second == kept
+    assert route(ct) == kept
+
+
+def test_a_root_system_built_by_hand_has_its_own_caches():
+    d = DynkinType("D", 5)
+    shared = build_root_system(d)
+    own = RootSystem(d)
+    assert own is not shared
+    assert own._descriptor_cache is None and own._permutation_cache == {}
+    # s = 3 divides no h = 8, so no classification route builds this criterion
+    crit = InvarianceCriterion("cox_conjugation", 3)
+    got = fixed_descriptors(own, criterion_root_map(own, crit))
+    assert crit in own._permutation_cache
+    assert crit not in shared._permutation_cache
+    expected = fixed_descriptors(shared, criterion_root_map(shared, crit))
+    assert got == expected
+    assert all(x is not y for x, y in zip(got, expected))
+    assert own._descriptor_cache is not shared._descriptor_cache
