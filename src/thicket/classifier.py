@@ -3,9 +3,11 @@ gives, read off the degrees of W."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, prod
 
 from .derived_engine import InvalidType, brute_force_classify, fixed_by_cycles
+from .linalg import mat_mul, mat_vec
 from .root_coxeter import (
     DynkinType,
     InvalidInput,
@@ -101,36 +103,69 @@ def reduce_criterion(ct):
     return InvarianceCriterion("cox_conjugation", gcd(h, parameter_p(ct)))
 
 
+@lru_cache(maxsize=None)
+def _twist(mode, n):
+    """The twist T of the criterion mode in rank n, which commutes with cox:
+    (simple-root permutation, reflection word that T applies first, sign
+    of the cox power, T's eigenvalues exp(2 pi i a/b) on the basic
+    invariants it moves as (degree, a, b)).
+
+    The criterion is conjugation by L = T cox^(sign s).  The permutation
+    p sends e_q to e_p[q]; the word (i, j) is s_i s_j.
+    """
+    ident = tuple(range(1, n + 1))
+    if mode == "cox_conjugation":
+        return ident, (), 1, ()
+    if mode == "sigma_rho_power":
+        return ident[: n - 2] + (n, n - 1), (), 1, ((n, 1, 2),)
+    if mode == "d4_triality":
+        return (3, 2, 4, 1), (1, 4), -1, ((4, 1, 3), (4, 2, 3))
+    raise InvalidType(f"unknown criterion mode {mode!r}")
+
+
+def _twist_permutation(rs, mode):
+    """T's root map alpha -> ±T alpha as an index permutation of
+    rs.positives, built once per root system and mode."""
+    cached = rs._permutation_cache.get(mode)
+    if cached is None:
+        perm, word, _, _ = _twist(mode, rs.rank)
+        t = tuple(tuple(int(p == i + 1) for p in perm) for i in range(rs.rank))
+        for i in word:
+            t = mat_mul(t, rs.simple_reflection(i).matrix)
+        images = {a: rs.normalize_root(mat_vec(t, a))[0] for a in rs.positives}
+        cached = rs._permutation_cache[mode] = index_permutation(rs, images)
+    return cached
+
+
 def criterion_permutation(rs, crit):
     """The criterion's root map alpha -> ±L alpha as (index permutation of
     rs.positives, its nontrivial cycle masks), built once per root system
     and criterion.
 
-    Conjugation by L sends the root set of w to that of L w L^-1.  For
-    cox_conjugation L = cox^s, the s-th power of rs.cox_permutation.  For
-    sigma_rho_power L = P cox^s, with P the swap of the simple roots n-1
+    Conjugation by L sends the root set of w to that of L w L^-1, and L =
+    T cox^(sign s) with T and the sign from _twist.  cox_conjugation has
+    T = 1.  sigma_rho_power has T = P, the swap of the simple roots n-1
     and n: cox conjugation acts on the D model as sigma.rho
     (coxeter_conjugation_is_sigma_rho) and the arm swap as sigma
     (phi_fixes_sigma_on_nc), so sigma^(s+1) rho^s is conjugation by
-    P cox^s.  No matrix is multiplied: cox^h = 1, so the power is taken
-    mod h by composing index permutations.
+    P cox^s.  d4_triality has T = P_3 s_1 s_4 and the power -s: the
+    rotation phi_map(D4, 3) permutes the simple roots as P_3, and s_1 s_4
+    is the reflection-functor word at the two arms whose arrows it
+    reverses, so the generator phi.tau^-r acts on roots as T cox^-r (and
+    cox^3 = -1).  cox^h = 1, so the power is taken mod h by composing
+    index permutations, then T's permutation; only T is built as a
+    matrix, once per root system and mode.
     """
     cached = rs._permutation_cache.get(crit)
     if cached is None:
-        if crit.mode == "d4_triality":
-            raise ExcludedType("(D4, r, 3) has no interval-level criterion; it is oracle-only")
-        if crit.mode not in ("cox_conjugation", "sigma_rho_power"):
-            raise InvalidType(f"unknown criterion mode {crit.mode!r}")
+        sign = _twist(crit.mode, rs.rank)[2]
         cox = rs.cox_permutation
         perm = tuple(range(len(cox)))
-        for _ in range(crit.s % rs.delta.coxeter_number):
+        for _ in range(sign * crit.s % rs.delta.coxeter_number):
             perm = tuple(cox[i] for i in perm)
-        if crit.mode == "sigma_rho_power":
-            n = rs.rank
-            swap = index_permutation(
-                rs, {a: a[: n - 2] + (a[n - 1], a[n - 2]) for a in rs.positives}
-            )
-            perm = tuple(swap[i] for i in perm)
+        if crit.mode != "cox_conjugation":
+            twist = _twist_permutation(rs, crit.mode)
+            perm = tuple(twist[i] for i in perm)
         cached = rs._permutation_cache[crit] = (perm, cycle_masks(perm))
     return cached
 
@@ -154,15 +189,11 @@ def is_invariant_nc(rs, w, crit):
 
 
 def enumerate_thick(ct):
-    """Thick subcategories of the type, as descriptors at the interval level.
-
-    (D4, r, 3) has no interval-level criterion and goes to the engine.
-    """
-    crit = reduce_criterion(ct)
-    if crit.mode == "d4_triality":
-        return brute_force_classify(ct)
+    """Thick subcategories of the type, as descriptors at the interval level:
+    the interval elements whose root set the criterion's root map fixes,
+    in interval order, at every admissible cell."""
     rs = build_root_system(ct.delta)
-    return fixed_by_cycles(rs, criterion_permutation(rs, crit)[1])
+    return fixed_by_cycles(rs, criterion_permutation(rs, reduce_criterion(ct))[1])
 
 
 def catalan(n):
@@ -173,15 +204,30 @@ def catalan_d(n):
     return comb(2 * n, n) - comb(2 * n - 2, n - 1)
 
 
+@lru_cache(maxsize=None)
+def _eigenvalues(mode, delta):
+    """T's eigenvalue exp(2 pi i a/b) on every basic invariant of W, as
+    (degree, a, b), with a/b = 0 on those _twist does not list; built once
+    per mode and type, so that counting a cell allocates almost nothing."""
+    moved = _twist(mode, delta.rank)[3]
+    rest = list(delta.degrees)
+    for d, _, _ in moved:
+        rest.remove(d)
+    return tuple((d, 0, 1) for d in rest) + moved
+
+
 def count_thick_formula(ct):
     """Exact count from the criterion and the degrees of W alone.
 
-    Conjugation by cox^s fixes prod over the degrees d with m | d of
-    (h + d) / d interval elements, m = h / s (Bessis-Reiner's cyclic
-    sieving of NC(W), 2011).  The even-D arm swap composed with cox^s
-    (sigma_rho_power) fixes binomial(2p, p) of them, p = gcd(n-1, s),
-    the type-B count of the Athanasiadis-Reiner model, and (D_4, r, 3)
-    has 8 or 5 thick subcategories.
+    Conjugation by L = T cox^k, k = sign s (_twist), fixes prod over the
+    basic invariants fixed by L of (h + d) / d interval elements, d the
+    degree.  L multiplies the invariant of degree d by zeta^(k d) times
+    T's eigenvalue exp(2 pi i a/b) on it (a/b = 0 unless _twist lists
+    it), zeta = exp(2 pi i/h), so the invariant is fixed when k d/h + a/b
+    is an integer.  With T = 1 this is Bessis-Reiner's cyclic sieving of
+    NC(W) (2011); the twisted product has the shape of Springer's regular
+    elements in a coset W psi (1974), and is checked here against
+    enumeration, not cited.
 
     These values correct two printed in the overview table.  The
     half-turn D cells (s = n-1 for odd n, s in {0, n-1} for even n with
@@ -192,14 +238,9 @@ def count_thick_formula(ct):
     erratum lists the witnesses.
     """
     crit = reduce_criterion(ct)
-    if crit.mode == "d4_triality":
-        return 8 if crit.s == 0 else 5
-    if crit.mode == "sigma_rho_power":
-        p = gcd(ct.delta.rank - 1, crit.s)
-        return comb(2 * p, p)
-    degrees = ct.delta.degrees
-    h = degrees[-1]
-    fixed = [d for d in degrees if d % (h // crit.s) == 0]
+    h, k = ct.delta.coxeter_number, _twist(crit.mode, ct.delta.rank)[2] * crit.s
+    invariants = _eigenvalues(crit.mode, ct.delta)
+    fixed = [d for d, a, b in invariants if (k * d * b + a * h) % (h * b) == 0]
     return prod(h + d for d in fixed) // prod(fixed)
 
 
@@ -246,10 +287,7 @@ def classification_report(ct):
     set that only one side keeps.
     """
     crit = reduce_criterion(ct)
-    enumerated = enumerate_thick(ct)
-    # at (D4, r, 3) enumerate_thick already is brute force
-    brute = enumerated if crit.mode == "d4_triality" else brute_force_classify(ct)
-    sides = {"enumerated": enumerated, "brute_force": brute}
+    sides = {"enumerated": enumerate_thick(ct), "brute_force": brute_force_classify(ct)}
     roots = {side: {d.roots for d in descs} for side, descs in sides.items()}
     witnesses = [
         {"kept_by": side, **d.to_json()}

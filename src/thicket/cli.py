@@ -386,7 +386,7 @@ def _check_classification(max_rank):
     e_cap = max_e_rank()
     for n in range(1, max(max_rank, min(e_cap, 8)) + 1):
         for series, rank, t in classifier.admissible_types_for_rank(n):
-            if t == 3 or rank > (e_cap if series == "E" else max_rank):
+            if rank > (e_cap if series == "E" else max_rank):
                 continue
             d = DynkinType(series, rank)
             for r in range(1, 2 * d.coxeter_number + 1):
@@ -398,10 +398,10 @@ def _check_classification(max_rank):
         return False, f"classification disagrees: {' | '.join(bad[:5])}"
     e_types = ", ".join(f"E{n}" for n in (6, 7, 8) if n <= e_cap)
     e_part = f" and for series E ({e_types})" if e_types else ""
+    triality = " (the triality (D4, r, 3) included)" if max_rank >= 4 else ""
     return True, (
         f"criterion equals brute force and the count formula equals enumeration"
-        f" for all admissible types up to rank {max_rank}"
-        f"{e_part}; (D4, r, 3) has no interval-level criterion and is oracle-only"
+        f" for all admissible types up to rank {max_rank}{triality}{e_part}"
     )
 
 

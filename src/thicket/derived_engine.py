@@ -413,10 +413,12 @@ def fixed_descriptors(rs, root_map):
     root_map is a permutation of the positive roots as a dict; anything
     else raises BrokenInvariant.  It is read once as an index permutation
     of rs.positives (index_permutation), split into its cycle masks and
-    filtered by fixed_by_cycles.  Every classification route is this
-    filter; the routes differ only in where the permutation comes from,
-    and the cached ones (criterion_permutation, vertex_map_permutation)
-    hand their cycle masks to fixed_by_cycles directly.
+    filtered by fixed_by_cycles.  Nothing in src/ calls it: it is the
+    tests' entry for root maps given as dicts.  Every classification
+    route is the same filter, and the routes differ only in where the
+    permutation comes from; the cached ones (criterion_permutation,
+    vertex_map_permutation) hand their cycle masks to fixed_by_cycles
+    directly.
     """
     return fixed_by_cycles(rs, cycle_masks(index_permutation(rs, root_map)))
 
@@ -436,26 +438,38 @@ def vertex_map_permutation(labeling, g):
     return cached
 
 
+def _after_tau(g, k, name):
+    """g @ tau_power(g.n, -k), built without composing: every offset of g
+    raised by k."""
+    return QuiverAutomorphism(g.n, g.perm, tuple(o + k for o in g.offset), name)
+
+
 def generator_map(ct):
-    """Vertex map generating the identification group of the type.
+    """Vertex map generating the identification group of the type:
+    phi.tau^-r.
 
     The translation power is taken in the walk direction (m -> m + r);
     for pure powers and the involutions this generates the same group
     either way, and for the infinite-order case it is the orientation
     under which the classification matches the closed parameter formula.
     """
-    phi = phi_map(ct.delta, ct.t)
-    g = phi @ tau_power(ct.delta.rank, -ct.r)
-    return QuiverAutomorphism(g.n, g.perm, g.offset, f"phi.tau^{ct.r}")
+    return _after_tau(phi_map(ct.delta, ct.t), ct.r, f"phi.tau^{ct.r}")
+
+
+@lru_cache(maxsize=None)
+def cluster_map(delta, power):
+    """S^power.tau^-1, whose orbits build the cluster category (power 1)
+    and its shift-twice variant (power 2); built once per type and power."""
+    return _after_tau(suspension_vertex_map(delta).power(power), 1, f"S^{power}.tau^-1")
 
 
 def brute_force_classify(ct):
     """The interval elements whose vertex set the generator fixes.
 
-    This is the oracle for every closed formula and interval-level
-    criterion, and the only route for (D4, r, 3), which has none.  The
-    root map is the generator's root_permutation off the labeling walk,
-    as the index permutation vertex_map_permutation caches.
+    This is the oracle that every closed formula and interval-level
+    criterion is checked against.  The root map is the generator's
+    root_permutation off the labeling walk, as the index permutation
+    vertex_map_permutation caches.
     """
     labeling = build_label_walk(ct.delta)
     _, cycles = vertex_map_permutation(labeling, generator_map(ct))
@@ -492,8 +506,7 @@ def cluster_category_check(delta, power=1):
 
     rs = build_root_system(delta)
     labeling = build_label_walk(delta)
-    g = suspension_vertex_map(delta).power(power) @ tau_power(delta.rank, -1)
-    invariant = fixed_by_cycles(rs, vertex_map_permutation(labeling, g)[1])
+    invariant = fixed_by_cycles(rs, vertex_map_permutation(labeling, cluster_map(delta, power))[1])
     failures = tuple(
         d.nc for d in invariant if d.roots not in (frozenset(), frozenset(rs.positives))
     )

@@ -20,7 +20,7 @@ computed once per root system.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import (
     identity,
@@ -86,7 +86,7 @@ class DynkinType:
         if self.series == "E" and self.rank not in _E_DEGREES:
             raise InvalidType("series E needs rank in {6, 7, 8}")
 
-    @property
+    @cached_property
     def degrees(self):
         """The degrees of the basic invariants of W, ascending."""
         n = self.rank
@@ -96,7 +96,7 @@ class DynkinType:
             return tuple(sorted((*range(2, 2 * n - 1, 2), n)))
         return _E_DEGREES[n]
 
-    @property
+    @cached_property
     def coxeter_number(self):
         """h, the largest degree."""
         return self.degrees[-1]

@@ -1,6 +1,6 @@
 import hashlib
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 
@@ -102,12 +102,16 @@ def test_is_invariant_nc_basics():
     assert count == 6
 
 
-def test_triality_has_no_interval_level_criterion():
+def test_triality_criterion_agrees_with_brute_force():
+    # the triality's criterion is conjugation by P_3 s_1 s_4 cox^-s, like
+    # every other cell's a twist composed with a cox power
+    c = ct("D", 4, 1, 3)
     rs = build_root_system(DynkinType("D", 4))
-    crit = reduce_criterion(ct("D", 4, 1, 3))
-    with pytest.raises(ExcludedType):
-        is_invariant_nc(rs, rs.identity, crit)
-    assert enumerate_thick(ct("D", 4, 1, 3)) == brute_force_classify(ct("D", 4, 1, 3))
+    crit = reduce_criterion(c)
+    brute = brute_force_classify(c)
+    assert [w for w in enumerate_nc(rs) if is_invariant_nc(rs, w, crit)] == [d.nc for d in brute]
+    assert enumerate_thick(c) == brute
+    assert len(brute) == 5
 
 
 def _orbits(perm):
@@ -127,8 +131,6 @@ def test_paper_and_engine_root_maps_have_the_same_orbits():
     # criterion and the engine classify every such cell alike
     for n in range(1, 7):
         for series, rank, t in admissible_types_for_rank(n):
-            if t == 3:
-                continue
             d = DynkinType(series, rank)
             rs = build_root_system(d)
             lab = build_label_walk(d)
@@ -216,6 +218,35 @@ def test_count_formula_is_the_degree_product():
     for c in cells:
         counts = (count_thick_formula(c), len(enumerate_thick(c)), len(brute_force_classify(c)))
         assert len(set(counts)) == 1, f"{c}: formula, enumeration, brute force = {counts}"
+
+
+def closed_form_reference(c):
+    """The three closed forms the count had, one per criterion mode: the
+    Bessis-Reiner product over the degrees d with m | d, m = h / s; the
+    type-B count binomial(2p, p), p = gcd(n - 1, s), at the even-D arm
+    swap; 8 or 5 at the triality."""
+    crit = reduce_criterion(c)
+    if crit.mode == "d4_triality":
+        return 8 if crit.s == 0 else 5
+    if crit.mode == "sigma_rho_power":
+        p = gcd(c.delta.rank - 1, crit.s)
+        return comb(2 * p, p)
+    h = c.delta.coxeter_number
+    fixed = [d for d in c.delta.degrees if d % (h // crit.s) == 0]
+    return prod(h + d for d in fixed) // prod(fixed)
+
+
+def test_twisted_degree_product_equals_the_closed_forms():
+    cells = [
+        ct(series, rank, r, t)
+        for n in range(1, 13)
+        for series, rank, t in admissible_types_for_rank(n)
+        for r in range(1, 2 * DynkinType(series, rank).coxeter_number + 1)
+    ]
+    assert len(cells) == 1016
+    wrong = [(str(c), count_thick_formula(c), closed_form_reference(c)) for c in cells
+             if count_thick_formula(c) != closed_form_reference(c)]
+    assert not wrong
 
 
 def test_count_proper_flag():
@@ -341,7 +372,7 @@ def test_classification_report_agreement():
 
 @pytest.mark.parametrize("cell,count", [(("D", 4, 1, 3), 5), (("D", 4, 3, 3), 8), (("D", 4, 3, 2), 20)])
 def test_classification_report_runs_brute_force_once(monkeypatch, cell, count):
-    # at (D4, r, 3) enumerate_thick is brute force, which the report reuses
+    # brute force is the report's second route at every cell, the triality included
     calls = []
 
     def counted(c):

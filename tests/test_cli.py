@@ -101,12 +101,12 @@ def test_verify_small(capsys):
 
 def test_verify_json_covers_series_e(capsys, monkeypatch):
     monkeypatch.setenv("THICKET_MAX_RANK", "6")
-    code, out, _ = run(capsys, "verify", "--max-rank", "3", "--json")
+    code, out, _ = run(capsys, "verify", "--max-rank", "4", "--json")
     assert code == 0
     results, _ = json.JSONDecoder().raw_decode(out[out.index("[\n"):])
     detail = {r["check"]: r["detail"] for r in results}["check_classification"]
     assert "series E (E6)" in detail
-    assert "(D4, r, 3)" in detail and "oracle-only" in detail
+    assert "the triality (D4, r, 3) included" in detail and "oracle-only" not in detail
 
 
 def test_verify_checks_the_b_model_counts(monkeypatch):
@@ -117,11 +117,12 @@ def test_verify_checks_the_b_model_counts(monkeypatch):
 
 
 def test_verify_passes_with_assertions_stripped():
-    # the invariants of root_coxeter are checked by code, not by assert
+    # the invariants of root_coxeter are checked by code, not by assert;
+    # rank 4 runs the triality cells and the twist's bijection check
     src = os.path.dirname(os.path.dirname(thicket.__file__))
     env = dict(os.environ, PYTHONPATH=src, THICKET_MAX_RANK="6")
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "thicket", "verify", "--max-rank", "3"],
+        [sys.executable, "-O", "-m", "thicket", "verify", "--max-rank", "4"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

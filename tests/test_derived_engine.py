@@ -18,6 +18,7 @@ from thicket.derived_engine import (
     brute_force_classify,
     build_label_walk,
     cluster_category_check,
+    cluster_map,
     fixed_by_cycles,
     fixed_descriptors,
     generator_map,
@@ -34,7 +35,7 @@ from thicket.derived_engine import (
     vertex_map_permutation,
     zd_arrows,
 )
-from thicket.linalg import mat_pow, mat_vec
+from thicket.linalg import mat_mul, mat_pow, mat_vec
 from thicket.ncp_models import ar_bijection_f, ar_bijection_g, sigma
 from thicket.root_coxeter import (
     BrokenInvariant,
@@ -506,9 +507,7 @@ def classification_root_maps(d):
             continue
         for r in range(1, 2 * d.coxeter_number + 1):
             ct = CategoryType(d, r, t)
-            crit = reduce_criterion(ct)
-            if crit.mode != "d4_triality":
-                maps[crit] = criterion_root_map(rs, crit)
+            maps[reduce_criterion(ct)] = criterion_root_map(rs, reduce_criterion(ct))
             maps[str(ct)] = root_permutation(lab, generator_map(ct))
     for power in (1, 2):
         g = suspension_vertex_map(d).power(power) @ tau_power(d.rank, -1)
@@ -554,10 +553,19 @@ def test_mask_filter_rejects_a_root_map_that_is_no_permutation():
 # -- cached root maps -----------------------------------------------------------
 
 
+# P_3 e_q = e_(3, 2, 4, 1)[q]: alpha_1 -> alpha_3 -> alpha_4 -> alpha_1
+P3 = ((0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0))
+
+
 def matrix_criterion_map(rs, crit):
     """The criterion's root map built with matrices: alpha -> ±L alpha with
-    L = cox^s, or P cox^s where P swaps the simple roots n-1 and n."""
-    L = mat_pow(rs.cox.matrix, crit.s)
+    L = cox^s, or P cox^s where P swaps the simple roots n-1 and n, or
+    P_3 s_1 s_4 cox^-s for the triality."""
+    if crit.mode == "d4_triality":
+        s1, s4 = rs.simple_reflection(1).matrix, rs.simple_reflection(4).matrix
+        L = mat_mul(mat_mul(mat_mul(P3, s1), s4), mat_pow(rs.cox.matrix, -crit.s))
+    else:
+        L = mat_pow(rs.cox.matrix, crit.s)
     if crit.mode == "sigma_rho_power":
         n = rs.rank
         L = L[: n - 2] + (L[n - 1], L[n - 2])
@@ -579,29 +587,31 @@ def cells_of(d):
 def test_cached_root_maps_match_their_references(spec):
     # every cached index permutation against the map it stands for: the
     # criterion's against the matrix construction, the engine's against a
-    # fresh labeling walk; and each route's descriptors against the filter's
-    # definition on that reference map
+    # fresh labeling walk; each route's descriptors against the filter's
+    # definition on that reference map; and each vertex map, built by
+    # raising offsets, against the composition with a tau power
     d = DynkinType(*spec)
     rs = build_root_system(d)
     lab = build_label_walk(d)
     criterion_fixed = {}
     for ct in cells_of(d):
         crit = reduce_criterion(ct)
-        if crit.mode != "d4_triality":
-            if crit not in criterion_fixed:
-                reference = matrix_criterion_map(rs, crit)
-                assert as_root_map(rs, criterion_permutation(rs, crit)[0]) == reference, str(ct)
-                assert criterion_root_map(rs, crit) == reference, str(ct)
-                criterion_fixed[crit] = reference_fixed(rs, reference)
-            got = [(x.nc, x.roots) for x in enumerate_thick(ct)]
-            assert got == criterion_fixed[crit], str(ct)
+        if crit not in criterion_fixed:
+            reference = matrix_criterion_map(rs, crit)
+            assert as_root_map(rs, criterion_permutation(rs, crit)[0]) == reference, str(ct)
+            assert criterion_root_map(rs, crit) == reference, str(ct)
+            criterion_fixed[crit] = reference_fixed(rs, reference)
+        got = [(x.nc, x.roots) for x in enumerate_thick(ct)]
+        assert got == criterion_fixed[crit], str(ct)
         g = generator_map(ct)
+        assert g == phi_map(d, ct.t) @ tau_power(d.rank, -ct.r), str(ct)
         walk = root_permutation(lab, g)
         assert as_root_map(rs, vertex_map_permutation(lab, g)[0]) == walk, str(ct)
         got = [(x.nc, x.roots) for x in brute_force_classify(ct)]
         assert got == reference_fixed(rs, walk), str(ct)
     for power in (1, 2):
         g = suspension_vertex_map(d).power(power) @ tau_power(d.rank, -1)
+        assert cluster_map(d, power) == g
         walk = root_permutation(lab, g)
         perm, cycles = vertex_map_permutation(lab, g)
         assert as_root_map(rs, perm) == walk

@@ -14,7 +14,9 @@ of paired cycles (the codimension of the fixed space), and NC(c) is
 the set of w with l_T(w) + l_T(w^-1 c) = n.  The arm swap is the sign
 change of n.  The D4 triality is a permutation of the simple roots, so
 it is checked on matrices in the simple-root basis.  Only the type
-constructor and the closed formula under test come from thicket.
+constructor and the two functions under test come from thicket: the
+closed formula count_thick_formula, and enumerate_thick, whose root sets
+at the triality cells are compared with the oracle's.
 
 Two published results pin the same numbers where they apply:
 Bessis-Reiner's cyclic sieving for noncrossing partitions (where Phi
@@ -27,7 +29,7 @@ from functools import cache
 from itertools import permutations, product
 from math import comb, gcd, prod
 
-from thicket import CategoryType, DynkinType, count_thick_formula
+from thicket import CategoryType, DynkinType, count_thick_formula, enumerate_thick
 
 RANKS = (4, 5, 6)
 
@@ -257,6 +259,43 @@ def test_d4_rotation_witnesses():
         [(0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 1)],  # a3, a2+a4, a2+a3+a4
         [(0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 1, 0)],  # a1, a2+a3, a1+a2+a3
     ]
+
+
+def _proper_root_sets(n, elements):
+    """For each element of length 0 < l < n, the positive roots of the
+    reflections t below it (l(t) + l(t^-1 w) = l(w)), in the simple-root
+    basis; sorted."""
+    out = []
+    for w in elements:
+        length = _reflection_length(w)
+        if 0 < length < n:
+            out.append(sorted(
+                tuple(_root_coordinates(root))
+                for root, t in _reflections(n).items()
+                if 1 + _reflection_length(_compose(_inverse(t), w)) == length
+            ))
+    return sorted(out)
+
+
+def test_triality_enumeration_matches_the_oracle():
+    """enumerate_thick at every (D4, r, 3), r <= 2h, against the oracle.
+
+    thicket orders its Coxeter element by the quiver, c' = s1 s2 s3 s4 =
+    s1 c s1, and its triality criterion is conjugation by L = P_3 s1 s4
+    c'^-r.  As s1 L s1 = P_3 c^-r, the oracle's g at -r, thicket's fixed
+    elements are s1 w s1 for the oracle's fixed w at -r: the same count,
+    and the root sets moved by s1.  So the witness sets above are
+    thicket's at r = 5, moved by s1.
+    """
+    n, h = 4, 6
+    s1 = _simple_reflection(n, 1)
+    for r in range(1, 2 * h + 1):
+        thick = enumerate_thick(CategoryType(DynkinType("D", n), r, 3))
+        fixed = _fixed(n, -r % h, 3)
+        assert len(thick) == oracle_count(n, r, 3) == len(fixed), r
+        moved = [_compose(s1, _compose(w, s1)) for w in fixed]
+        got = sorted(sorted(d.roots) for d in thick if 0 < len(d.roots) < n * (n - 1))
+        assert got == _proper_root_sets(n, moved), r
 
 
 def test_closed_formula_matches_the_oracle():
