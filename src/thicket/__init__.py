@@ -13,7 +13,6 @@ from .classifier import (
     count_thick_formula,
     enumerate_thick,
     overview_table,
-    parameter_p,
     reduce_criterion,
 )
 from .derived_engine import (
@@ -26,7 +25,6 @@ from .derived_engine import (
     phi_map,
     suspension_vertex_map,
     tau_power,
-    thick_from_nc,
 )
 from .ncp_models import (
     BPartition,
@@ -51,10 +49,8 @@ from .root_coxeter import (
     DynkinType,
     GroupElement,
     RootSystem,
-    absolute_length,
     build_root_system,
     enumerate_nc,
-    leq_absolute,
     reflection,
     roots_below,
     type_a_as_permutation,

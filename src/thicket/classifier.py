@@ -14,16 +14,13 @@ from .root_coxeter import (
     build_root_system,
     cycle_masks,
     index_permutation,
-    roots_below,
 )
 
 
-class ExcludedType(InvalidInput):
-    """The type needs its special-case criterion, not the parameter formula."""
-
-
 class NoClosedForm(ValueError):
-    """No longer raised: every admissible type has a closed count."""
+    """No longer raised: every admissible type has a closed count.  It
+    stays because perfbench/workloads.py imports it, and goes with the
+    perfbench edit that drops that import."""
 
 
 class NotAsashibaType(InvalidInput):
@@ -34,7 +31,9 @@ TORSION_ORDERS = (1, 2, 3, "inf")
 
 
 def normalize_torsion(t):
-    if t in (1, 2, 3):
+    """t as exactly 1, 2, 3 or "inf"; anything else, a bool or 2.0
+    included, raises InvalidType."""
+    if type(t) is int and t in (1, 2, 3):
         return t
     if isinstance(t, str):
         if t in ("1", "2", "3"):
@@ -54,8 +53,8 @@ class CategoryType:
 
     def __post_init__(self):
         object.__setattr__(self, "t", normalize_torsion(self.t))
-        if self.r < 1:
-            raise InvalidType("r must be a positive integer")
+        if type(self.r) is not int or self.r < 1:
+            raise InvalidType(f"r must be a positive integer, got {self.r!r}")
         d, t = self.delta, self.t
         if (d.series, d.rank, t) not in admissible_types_for_rank(d.rank):
             raise InvalidType(f"({d}, r, {t}) is not an admissible type")
@@ -78,29 +77,18 @@ class InvarianceCriterion:
     s: int
 
 
-def parameter_p(ct):
-    """The translation exponent controlling invariance, when it exists."""
-    d, r, t = ct.delta, ct.r, ct.t
-    h = d.coxeter_number
-    if t == 2 and d.series == "D" and d.rank % 2 == 0:
-        raise ExcludedType("even D with order 2 uses the sign-flip criterion")
-    if t == 3:
-        raise ExcludedType("D4 with order 3 is classified by brute force")
-    if t == 1:
-        return r
-    if t == 2:
-        return h // 2 + r
-    return d.exponent_bound // 2 + r
-
-
 def reduce_criterion(ct):
+    """The cell's criterion: conjugation by cox^s with s = gcd(h, r) for
+    t = 1 and s = gcd(h, h // 2 + r) for t = 2 and inf (h is odd for inf,
+    so h // 2 = (h - 1)/2); s = r mod h for even D with t = 2 and r mod 3
+    for the triality, whose twists _twist holds."""
     d, r, t = ct.delta, ct.r, ct.t
     h = d.coxeter_number
     if t == 2 and d.series == "D" and d.rank % 2 == 0:
         return InvarianceCriterion("sigma_rho_power", r % h)
     if t == 3:
         return InvarianceCriterion("d4_triality", r % 3)
-    return InvarianceCriterion("cox_conjugation", gcd(h, parameter_p(ct)))
+    return InvarianceCriterion("cox_conjugation", gcd(h, r if t == 1 else h // 2 + r))
 
 
 @lru_cache(maxsize=None)
@@ -170,24 +158,6 @@ def criterion_permutation(rs, crit):
     return cached
 
 
-def criterion_root_map(rs, crit):
-    """The permutation alpha -> ±L alpha of the positive roots whose
-    fixed root sets are the interval elements the criterion keeps, as a
-    dict: a view of the cached index permutation criterion_permutation."""
-    perm, _ = criterion_permutation(rs, crit)
-    return {a: rs.positives[j] for a, j in zip(rs.positives, perm)}
-
-
-def is_invariant_nc(rs, w, crit):
-    """Is the root set of w closed under the criterion's root map?
-
-    Reference definition for the tests; nothing in src/ calls it.
-    """
-    roots = roots_below(rs, w)
-    root_map = criterion_root_map(rs, crit)
-    return all(root_map[a] in roots for a in roots)
-
-
 def enumerate_thick(ct):
     """Thick subcategories of the type, as descriptors at the interval level:
     the interval elements whose root set the criterion's root map fixes,
@@ -201,6 +171,8 @@ def catalan(n):
 
 
 def catalan_d(n):
+    """|NC(D_n)|.  Nothing in src/ calls it; it stays because
+    perfbench/workloads.py imports it, and goes with that import."""
     return comb(2 * n, n) - comb(2 * n - 2, n - 1)
 
 

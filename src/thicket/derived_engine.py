@@ -18,7 +18,7 @@ the h-th power of the inverse translation.  That orientation of the
 identity is pinned here once, in suspension_vertex_map.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import mat_inverse, mat_vec
@@ -48,7 +48,6 @@ class QuiverAutomorphism:
     n: int
     perm: tuple
     offset: tuple
-    name: str = field(default="", compare=False)
 
     def __call__(self, m, q):
         return m + self.offset[q - 1], self.perm[q - 1]
@@ -61,8 +60,7 @@ class QuiverAutomorphism:
             m2, q2 = self(m1, q1)
             perm.append(q2)
             offset.append(m2)
-        name = f"{self.name}.{other.name}" if self.name and other.name else ""
-        return QuiverAutomorphism(self.n, tuple(perm), tuple(offset), name)
+        return QuiverAutomorphism(self.n, tuple(perm), tuple(offset))
 
     def inverse(self):
         perm = [0] * self.n
@@ -71,7 +69,7 @@ class QuiverAutomorphism:
             m1, q1 = self(0, q)
             perm[q1 - 1] = q
             offset[q1 - 1] = -m1
-        return QuiverAutomorphism(self.n, tuple(perm), tuple(offset), f"({self.name})^-1")
+        return QuiverAutomorphism(self.n, tuple(perm), tuple(offset))
 
     def power(self, k):
         out = identity_map(self.n)
@@ -82,43 +80,12 @@ class QuiverAutomorphism:
 
 
 def identity_map(n):
-    return QuiverAutomorphism(n, tuple(range(1, n + 1)), (0,) * n, "id")
+    return QuiverAutomorphism(n, tuple(range(1, n + 1)), (0,) * n)
 
 
 def tau_power(n, k):
     """The k-th power of the translation: (m, q) -> (m - k, q)."""
-    return QuiverAutomorphism(n, tuple(range(1, n + 1)), (-k,) * n, f"tau^{k}")
-
-
-def zd_arrows(delta, m_range):
-    """Arrows of ZDelta with source m-coordinate in m_range.
-
-    Reference definition for the tests; only is_quiver_automorphism, a
-    reference too, calls it in src/.
-    """
-    out = set()
-    for m in m_range:
-        for (x, y) in arrows(delta):
-            out.add(((m, x), (m, y)))
-            out.add(((m - 1, y), (m, x)))
-    return out
-
-
-def is_quiver_automorphism(delta, g, width=8):
-    """Check arrow preservation on a finite strip.
-
-    Reference definition for the tests; nothing in src/ calls it.
-    """
-    span = range(-width, width)
-    reach = max(abs(o) for o in g.offset) + 2
-    arr = zd_arrows(delta, range(-width - reach, width + reach))
-    for m in span:
-        for (x, y) in arrows(delta):
-            if (g(m, x), g(m, y)) not in arr:
-                return False
-            if (g(m - 1, y), g(m, x)) not in arr:
-                return False
-    return True
+    return QuiverAutomorphism(n, tuple(range(1, n + 1)), (-k,) * n)
 
 
 def _tree_offsets(delta, rise):
@@ -134,7 +101,7 @@ def _tree_offsets(delta, rise):
     return [off[q] for q in range(1, delta.rank + 1)]
 
 
-def vertex_map(delta, perm, order, k, name=""):
+def vertex_map(delta, perm, order, k):
     """The vertex map of ZDelta with column permutation perm and g^order = tau^k.
 
     Along an arrow a -> b of Delta the image columns are joined either by
@@ -155,7 +122,7 @@ def vertex_map(delta, perm, order, k, name=""):
         total += rel[q - 1]
         q = perm[q - 1]
     shift = (-k - total) // order
-    g = QuiverAutomorphism(delta.rank, tuple(perm), tuple(o + shift for o in rel), name)
+    g = QuiverAutomorphism(delta.rank, tuple(perm), tuple(o + shift for o in rel))
     _require(g.power(order) == tau_power(delta.rank, k),
              f"column map {perm} admits no offsets with g^{order} = tau^{k} on {delta}")
     return g
@@ -192,7 +159,7 @@ def phi_map(delta, t):
     }
     if table.get(t) is None:
         raise InvalidType(f"no automorphism of order {t!r} for {delta}")
-    return vertex_map(delta, *table[t], "phi")
+    return vertex_map(delta, *table[t])
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +172,7 @@ def suspension_vertex_map(delta):
     series, n = delta.series, delta.rank
     flips = series == "A" or (series == "D" and n % 2) or delta == DynkinType("E", 6)
     perm = _diagram_flip(delta) if flips else tuple(range(1, n + 1))
-    return vertex_map(delta, perm, 2, -delta.coxeter_number, "S")
+    return vertex_map(delta, perm, 2, -delta.coxeter_number)
 
 
 # -- labeling ----------------------------------------------------------
@@ -332,31 +299,6 @@ class ThickDescriptor:
         return doc
 
 
-def thick_from_nc(rs, w):
-    """A fresh descriptor of the interval element w.
-
-    Reference definition for the tests; nothing in src/ calls it.
-    """
-    return ThickDescriptor(rs.delta, w, roots_below(rs, w))
-
-
-def is_invariant_vertex_set(labeling, desc, g):
-    """Does g map the marked vertex set onto itself?
-
-    Marks are m-periodic with period h, so agreement on a strip of
-    width 2h decides invariance globally.  This vertex-level scan is the
-    reference that root_permutation's root-level filter is tested against.
-    Reference definition for the tests; nothing in src/ calls it.
-    """
-    h = labeling.h
-    for m in range(2 * h):
-        for q in range(1, labeling.rs.rank + 1):
-            gm, gq = g(m, q)
-            if desc.marked(labeling, m, q) != desc.marked(labeling, gm, gq):
-                return False
-    return True
-
-
 def root_permutation(labeling, g):
     """The permutation of positive roots induced by the vertex map g.
 
@@ -375,7 +317,7 @@ def root_permutation(labeling, g):
             src = labeling.root_at(m, q)
             img = labeling.root_at(*g(m, q))
             if out.setdefault(src, img) != img:
-                raise MixedRoots(f"{g.name or 'vertex map'} sends {src} to {out[src]} and {img}")
+                raise MixedRoots(f"{g!r} sends {src} to {out[src]} and {img}")
     return out
 
 
@@ -406,23 +348,6 @@ def fixed_by_cycles(rs, cycles):
     return [d for _, d in kept]
 
 
-def fixed_descriptors(rs, root_map):
-    """Descriptors of the interval elements whose root set root_map maps
-    onto itself, in interval order.
-
-    root_map is a permutation of the positive roots as a dict; anything
-    else raises BrokenInvariant.  It is read once as an index permutation
-    of rs.positives (index_permutation), split into its cycle masks and
-    filtered by fixed_by_cycles.  Nothing in src/ calls it: it is the
-    tests' entry for root maps given as dicts.  Every classification
-    route is the same filter, and the routes differ only in where the
-    permutation comes from; the cached ones (criterion_permutation,
-    vertex_map_permutation) hand their cycle masks to fixed_by_cycles
-    directly.
-    """
-    return fixed_by_cycles(rs, cycle_masks(index_permutation(rs, root_map)))
-
-
 def vertex_map_permutation(labeling, g):
     """root_permutation(labeling, g) as (index permutation of
     labeling.rs.positives, its nontrivial cycle masks).
@@ -438,10 +363,10 @@ def vertex_map_permutation(labeling, g):
     return cached
 
 
-def _after_tau(g, k, name):
+def _after_tau(g, k):
     """g @ tau_power(g.n, -k), built without composing: every offset of g
     raised by k."""
-    return QuiverAutomorphism(g.n, g.perm, tuple(o + k for o in g.offset), name)
+    return QuiverAutomorphism(g.n, g.perm, tuple(o + k for o in g.offset))
 
 
 def generator_map(ct):
@@ -451,16 +376,16 @@ def generator_map(ct):
     The translation power is taken in the walk direction (m -> m + r);
     for pure powers and the involutions this generates the same group
     either way, and for the infinite-order case it is the orientation
-    under which the classification matches the closed parameter formula.
+    under which the classification matches reduce_criterion's offset.
     """
-    return _after_tau(phi_map(ct.delta, ct.t), ct.r, f"phi.tau^{ct.r}")
+    return _after_tau(phi_map(ct.delta, ct.t), ct.r)
 
 
 @lru_cache(maxsize=None)
 def cluster_map(delta, power):
     """S^power.tau^-1, whose orbits build the cluster category (power 1)
     and its shift-twice variant (power 2); built once per type and power."""
-    return _after_tau(suspension_vertex_map(delta).power(power), 1, f"S^{power}.tau^-1")
+    return _after_tau(suspension_vertex_map(delta).power(power), 1)
 
 
 def brute_force_classify(ct):

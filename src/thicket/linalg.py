@@ -30,58 +30,10 @@ def sub_outer(a, u, v):
     )
 
 
-def mat_pow(a, k):
-    """a^k for an integer matrix (k < 0 needs a invertible over Z).
-
-    Reference definition for the tests; nothing in src/ calls it.
-    """
-    n = len(a)
-    if k < 0:
-        return mat_pow(mat_inverse(a), -k)
-    result = identity(n)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
 def mat_sub(a, b):
     return tuple(
         tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
-
-
-def rank(m):
-    """Rank over the rationals by Bareiss fraction-free elimination."""
-    if not m:
-        return 0
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def kernel(m):
@@ -148,17 +100,3 @@ def mat_inverse(m):
         raise ValueError("matrix is not invertible over the integers")
     return inv
 
-
-def mat_order(m, cap=10000):
-    """Multiplicative order of an integer matrix of finite order.
-
-    Reference definition for the tests; nothing in src/ calls it.
-    """
-    n = len(m)
-    e = identity(n)
-    p = m
-    for k in range(1, cap + 1):
-        if p == e:
-            return k
-        p = mat_mul(p, m)
-    raise ValueError("order exceeds cap")

@@ -450,30 +450,6 @@ def ar_bijection_g(rs, p):
     return g
 
 
-def is_in_nc_d(rs, p):
-    """Authoritative noncrossing test for the D model, via the group side.
-
-    Reference definition for the tests; nothing in src/ calls it.
-    """
-    try:
-        ar_bijection_g(rs, p)
-        return True
-    except (NotInInterval, ValueError):
-        return False
-
-
-def d_chord_sanity(p):
-    """Necessary condition: boundary chords must not interleave.
-
-    Forget the centroid labels ±n and test the blocks on the (2n-2)-gon
-    labelled 1..n-1, -1..-(n-1) like an A-model diagram.
-    Reference definition for the tests; nothing in src/ calls it.
-    """
-    n = p.n
-    blocks = (tuple(_boundary_position(n, x) + 1 for x in b if abs(x) != n) for b in p.blocks)
-    return is_noncrossing_a(SetPartitionA(2 * n - 2, tuple(b for b in blocks if b)))
-
-
 # -- the rotation and the sign flip ------------------------------------
 
 
@@ -498,16 +474,6 @@ def sigma(p):
         else:
             blocks.append(b)
     return DPartition(n, tuple(blocks))
-
-
-def sigma_rho_power(p, s):
-    """Apply (sigma^(s+1) rho^s); sigma and rho commute."""
-    out = p
-    for _ in range(s % (2 * p.n - 2)):
-        out = rho(out)
-    if (s + 1) % 2 == 1:
-        out = sigma(out)
-    return out
 
 
 @dataclass(frozen=True)

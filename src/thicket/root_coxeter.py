@@ -1,18 +1,16 @@
 """Root systems, reflection groups and the noncrossing partition interval.
 
 Group elements are exact integer matrices acting on the root lattice in
-the simple-root basis.  Reflection length is the rank of w - id and the
-absolute order is decided by length additivity; these are the reference
-definitions.  The interval below the Coxeter element and the root set of
-each of its elements come from one breadth-first search, so the full
-group is never materialized: the children of w are the products w t for
-the reflections t below x = w^-1 cox, and the root set of an element is
-the set of reflections that reach it from the layer below.  The search
-ranks nothing.  By Carter's lemma l(x) = dim Mov(x), and by Brady-Watt
-(2002) s_a <= x iff a is orthogonal to Fix(x) = ker(x - 1), so one
-integer kernel of x - 1 per element of the lower half gives all its
-children at once; x is itself in the interval, so past the middle layer
-its root set is already in the table.  Root sets are bitmasks over
+the simple-root basis.  The interval below the Coxeter element and the
+root set of each of its elements come from one breadth-first search, so
+the full group is never materialized: the children of w are the products
+w t for the reflections t below x = w^-1 cox, and the root set of an
+element is the set of reflections that reach it from the layer below.
+The search ranks nothing.  By Carter's lemma l(x) = dim Mov(x), and by
+Brady-Watt (2002) s_a <= x iff a is orthogonal to Fix(x) = ker(x - 1),
+so one integer kernel of x - 1 per element of the lower half gives all
+its children at once; x is itself in the interval, so past the middle
+layer its root set is already in the table.  Root sets are bitmasks over
 rs.positives, with a frozenset view for callers, and reflections act by
 rank-one updates, so the search multiplies no matrices.  A root map is
 an index permutation of rs.positives, split into cycle masks; cox's is
@@ -29,7 +27,6 @@ from .linalg import (
     mat_mul,
     mat_sub,
     mat_vec,
-    rank,
     scaled_inverse,
     sub_outer,
 )
@@ -79,6 +76,8 @@ class DynkinType:
     def __post_init__(self):
         if self.series not in ("A", "D", "E"):
             raise InvalidType(f"unknown series {self.series!r}")
+        if type(self.rank) is not int:
+            raise InvalidType(f"rank must be an integer, got {self.rank!r}")
         if self.series == "A" and self.rank < 1:
             raise InvalidType("series A needs rank >= 1")
         if self.series == "D" and self.rank < 4:
@@ -100,11 +99,6 @@ class DynkinType:
     def coxeter_number(self):
         """h, the largest degree."""
         return self.degrees[-1]
-
-    @property
-    def exponent_bound(self):
-        """h - 1, the largest exponent."""
-        return self.coxeter_number - 1
 
     def __str__(self):
         return f"{self.series}{self.rank}"
@@ -284,21 +278,6 @@ def reflection(rs, v):
     if v not in rs.positives:
         raise NotARoot(f"{v} is not a positive root of {rs.delta}")
     return GroupElement(rs._reflection_matrix(v))
-
-
-def absolute_length(rs, w):
-    """Reflection length of w: the rank of w - id."""
-    return rank(mat_sub(w.matrix, identity(rs.rank)))
-
-
-def leq_absolute(rs, u, w):
-    """u <= w in absolute order, by the length-additivity criterion."""
-    lu = absolute_length(rs, u)
-    lw = absolute_length(rs, w)
-    if lu > lw:
-        return False
-    uw = GroupElement(mat_mul(mat_inverse(u.matrix), w.matrix))
-    return lu + absolute_length(rs, uw) == lw
 
 
 def _reflections_below(rs, x):

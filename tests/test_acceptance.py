@@ -33,7 +33,6 @@ from thicket.derived_engine import (
     root_permutation,
     suspension_vertex_map,
     tau_power,
-    thick_from_nc,
 )
 from thicket.ncp_models import (
     ar_bijection_f,

@@ -4,10 +4,10 @@ from math import comb, gcd, prod
 
 import pytest
 
+from reference import criterion_root_map, is_invariant_nc
 from thicket import classifier
 from thicket.classifier import (
     CategoryType,
-    ExcludedType,
     InvarianceCriterion,
     NotAsashibaType,
     admissible_types_for_rank,
@@ -17,12 +17,9 @@ from thicket.classifier import (
     classification_report,
     count_thick,
     count_thick_formula,
-    criterion_root_map,
     enumerate_thick,
-    is_invariant_nc,
     overview_markdown,
     overview_table,
-    parameter_p,
     reduce_criterion,
 )
 from thicket.derived_engine import (
@@ -54,14 +51,22 @@ def test_admissible_types():
                 ("D", 5, 1, 3), ("E", 7, 1, 2), ("E", 8, 1, 3)]:
         with pytest.raises(InvalidType):
             ct(*bad)
-    with pytest.raises(InvalidType):
-        ct("A", 3, 0, 1)
+    for r in (0, 2.5, "3", True, None):
+        with pytest.raises(InvalidType):
+            ct("A", 3, r, 1)
+    for rank in (2.0, True, "3"):
+        with pytest.raises(InvalidType):
+            DynkinType("A", rank)
 
 
 def test_torsion_normalization():
     assert ct("A", 4, 1, "infinity").t == "inf"
     assert ct("A", 3, 1, "2").t == 2
     assert ct("A", 4, 1, float("inf")).t == "inf"
+    assert type(ct("A", 3, 1, 2).t) is int
+    for t in (True, 2.0, 1.0, "4", None):
+        with pytest.raises(InvalidType):
+            ct("A", 3, 1, t)
 
 
 def test_admissible_listing():
@@ -71,26 +76,21 @@ def test_admissible_listing():
     assert ("D", 4, 3) in [(s, n, t) for s, n, t in admissible_types_for_rank(4)]
 
 
-# -- the parameter and the criterion ------------------------------------------
-
-
-def test_parameter_p_cases():
-    assert parameter_p(ct("A", 5, 4, 1)) == 4
-    assert parameter_p(ct("D", 5, 14, 2)) == 4 + 14
-    assert parameter_p(ct("A", 4, 3, "inf")) == 2 + 3
-    assert parameter_p(ct("A", 3, 2, 2)) == 2 + 2
-    assert parameter_p(ct("E", 6, 5, 2)) == 6 + 5
-    with pytest.raises(ExcludedType):
-        parameter_p(ct("D", 4, 1, 2))
-    with pytest.raises(ExcludedType):
-        parameter_p(ct("D", 4, 1, 3))
+# -- the criterion ---------------------------------------------------------------
 
 
 def test_reduce_criterion_cases():
-    assert reduce_criterion(ct("A", 5, 4, 1)) == InvarianceCriterion("cox_conjugation", 2)
-    assert reduce_criterion(ct("D", 6, 7, 2)) == InvarianceCriterion("sigma_rho_power", 7)
-    assert reduce_criterion(ct("D", 4, 6, 3)) == InvarianceCriterion("d4_triality", 0)
-    assert reduce_criterion(ct("D", 5, 14, 2)) == InvarianceCriterion("cox_conjugation", 2)
+    # the offset is r for t = 1 and h // 2 + r for t = 2 and inf
+    for cell, crit in [
+        (ct("A", 5, 4, 1), ("cox_conjugation", 2)),
+        (ct("D", 6, 7, 2), ("sigma_rho_power", 7)),
+        (ct("D", 4, 6, 3), ("d4_triality", 0)),
+        (ct("D", 5, 14, 2), ("cox_conjugation", 2)),
+        (ct("A", 4, 3, "inf"), ("cox_conjugation", 5)),
+        (ct("A", 3, 2, 2), ("cox_conjugation", 4)),
+        (ct("E", 6, 5, 2), ("cox_conjugation", 1)),
+    ]:
+        assert reduce_criterion(cell) == InvarianceCriterion(*crit), str(cell)
 
 
 def test_is_invariant_nc_basics():
@@ -279,7 +279,8 @@ def test_zero_block_lift_witness_for_the_half_turn_cells():
     # three-cycle on the rest is in the interval and is fixed by the
     # fourth conjugation power, yet its image under the forget-centroid
     # map is a diameter block, which the tabulated subtraction discards
-    from thicket.linalg import mat_inverse, mat_mul, mat_pow
+    from reference import mat_pow
+    from thicket.linalg import mat_inverse, mat_mul
     from thicket.ncp_models import ar_bijection_f
     from thicket.root_coxeter import type_d_as_signed_permutation
 

@@ -4,24 +4,22 @@ from math import comb, gcd
 
 import pytest
 
+from reference import is_in_nc_d, is_invariant_nc, sigma_rho_power
 from thicket.classifier import (
     CategoryType,
     InvarianceCriterion,
     admissible_types_for_rank,
     count_thick_formula,
     enumerate_thick,
-    is_invariant_nc,
     reduce_criterion,
 )
 from thicket.ncp_models import (
     DPartition,
     ar_bijection_f,
     brady_f,
-    is_in_nc_d,
     rho,
     rotate_a,
     sigma,
-    sigma_rho_power,
 )
 from thicket.root_coxeter import (
     DynkinType,

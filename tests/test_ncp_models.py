@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from reference import d_chord_sanity, is_in_nc_d, sigma_rho_power
 from thicket.ncp_models import (
     BadDivisor,
     BPartition,
@@ -18,10 +19,8 @@ from thicket.ncp_models import (
     brady_g,
     construct_fiber,
     coxeter_conjugation_is_sigma_rho,
-    d_chord_sanity,
     enumerate_nc_a,
     enumerate_nc_b,
-    is_in_nc_d,
     is_noncrossing_a,
     kreweras_alpha,
     kreweras_alpha_inverse,
@@ -30,7 +29,6 @@ from thicket.ncp_models import (
     rotate_a,
     rotation_period_a,
     sigma,
-    sigma_rho_power,
 )
 from thicket import ncp_models
 from thicket.root_coxeter import BrokenInvariant, DynkinType, build_root_system, enumerate_nc

@@ -1,8 +1,8 @@
 """Stress tests for the two largest exceptional types.
 
 The E7 test runs by default, at every cell (E7, r, 1) with 1 <= r <= 36,
-in about 1.3 s on a 2-core VM; the E8 test is opt-in, enabled with
-THICKET_MAX_RANK=8, and takes about 11 s there, most of it the cold
+in 0.8-0.9 s on a 2-core VM; the E8 test is opt-in, enabled with
+THICKET_MAX_RANK=8, and takes 6.5-6.8 s there, most of it the cold
 interval.  The two classification routes are checked against each
 other by root set, and their counts against the degree product of
 count_thick_formula.
