@@ -52,6 +52,8 @@ class CategoryType:
     t: object
 
     def __post_init__(self):
+        if not isinstance(self.delta, DynkinType):
+            raise InvalidType(f"delta must be a DynkinType, got {self.delta!r}")
         object.__setattr__(self, "t", normalize_torsion(self.t))
         if type(self.r) is not int or self.r < 1:
             raise InvalidType(f"r must be a positive integer, got {self.r!r}")
@@ -230,6 +232,8 @@ def algebra_type_to_category_type(delta, frequency, t):
     The translation exponent f * (h - 1) must be a positive integer.
     """
     t = normalize_torsion(t)
+    if isinstance(frequency, bool):
+        raise NotAsashibaType(f"frequency must be a number, got {frequency!r}")
     f = Fraction(frequency)
     if f <= 0:
         raise NotAsashibaType("frequency must be positive")

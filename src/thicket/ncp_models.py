@@ -1,13 +1,14 @@
 """Circular noncrossing partition models and their bijections.
 
-Partitions are canonical tuples of tuples: every block is sorted
-ascending and blocks are sorted by their minimum.  The A model lives on
-[n], the B and D models on [±n] with mirror-stable blocks; the D model
-additionally forbids a zero block that is a single pair {i, -i}.
+An A-model partition of [n] is its label tuple, entry i - 1 the least
+member of i's block, so a rotation is a slice and one relabelling; its
+blocks are derived on demand.  The B and D models on [±n] are canonical
+tuples of tuples with mirror-stable blocks; the D model additionally
+forbids a zero block that is a single pair {i, -i}.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 
 from .root_coxeter import (
     InvalidInput,
@@ -39,91 +40,115 @@ class NotAPartition(InvalidInput):
     """Blocks that do not form a partition of the model's label set."""
 
 
-def _canonical(blocks):
-    if not all(blocks):
-        raise NotAPartition("a block is empty")
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SetPartitionA:
-    n: int
-    blocks: tuple
+    """A partition of [n], held as its label tuple: lab[i - 1] is the
+    least member of i's block."""
 
-    def __post_init__(self):
-        seen = [x for b in self.blocks for x in b]
-        if sorted(seen) != list(range(1, self.n + 1)):
-            raise NotAPartition(f"blocks do not partition [{self.n}]")
-        object.__setattr__(self, "blocks", _canonical(self.blocks))
+    lab: tuple
+
+    def __init__(self, n, blocks):
+        seen = [x for b in blocks for x in b]
+        if sorted(seen) != list(range(1, n + 1)):
+            raise NotAPartition(f"blocks do not partition [{n}]")
+        if not all(blocks):
+            raise NotAPartition("a block is empty")
+        owner = {x: k for k, b in enumerate(blocks) for x in b}
+        object.__setattr__(self, "lab", _relabel([owner[x] for x in range(1, n + 1)]))
+
+    n = property(lambda self: len(self.lab))
+
+    @property
+    def blocks(self):
+        """The blocks, each ascending, sorted by their least member."""
+        groups = {}
+        for i, m in enumerate(self.lab, 1):
+            groups.setdefault(m, []).append(i)
+        return tuple(map(tuple, groups.values()))
 
     def to_json(self):
         return {"model": "A", "n": self.n, "blocks": [list(b) for b in self.blocks]}
 
 
-def _chords(block, n):
-    """Chords joining cyclically consecutive members of a block."""
-    if len(block) < 2:
-        return []
-    b = sorted(block)
-    out = [(b[i], b[i + 1]) for i in range(len(b) - 1)]
-    if len(b) > 2:
-        out.append((b[0], b[-1]))
-    return out
+def _from_labels(lab):
+    """The partition with label tuple lab, which must be canonical: every
+    entry is the position of its first occurrence."""
+    _require(_relabel(lab) == lab, "labels are not canonical")
+    p = object.__new__(SetPartitionA)
+    object.__setattr__(p, "lab", lab)
+    return p
 
 
-def _interleave(a, b, c, d):
-    """Do the chords {a,b} and {c,d} cross on the circle 1..n?"""
-    lo, hi = min(a, b), max(a, b)
-    inside_c = lo < c < hi
-    inside_d = lo < d < hi
-    return inside_c != inside_d
+def _relabel(seq):
+    """Canonical labels of the partition of positions by equal entries."""
+    first = dict(zip(reversed(seq), range(len(seq), 0, -1)))
+    return tuple(map(first.__getitem__, seq))
+
+
+def _rotated(lab, k):
+    """Labels of the partition turned k steps: point x goes to x + k."""
+    k %= len(lab) or 1
+    return _relabel(lab[-k:] + lab[:-k]) if k else lab
 
 
 def is_noncrossing_a(p):
-    chords = [(_chords(b, p.n), i) for i, b in enumerate(p.blocks)]
-    flat = [(c, i) for cs, i in chords for c in cs]
-    for x, (c1, i1) in enumerate(flat):
-        for c2, i2 in flat[x + 1:]:
-            if i1 != i2 and _interleave(c1[0], c1[1], c2[0], c2[1]):
+    """One pass with a stack of the blocks that are open: a block may only
+    continue while no block opened after it is still open."""
+    lab = p.lab
+    last = {m: i for i, m in enumerate(lab, 1)}
+    open_blocks = []
+    for i, m in enumerate(lab, 1):
+        if m != i:
+            if open_blocks[-1] != m:
                 return False
+            if last[m] == i:
+                open_blocks.pop()
+        elif last[m] != i:
+            open_blocks.append(m)
     return True
 
 
-def _nc_blocks(points):
-    """Noncrossing partitions of an ascending tuple, as block tuples."""
-    if not points:
-        yield ()
-        return
-    a = points[0]
-    for sub in _nc_blocks(points[1:]):
-        yield ((a,),) + sub
-    for i in range(1, len(points)):
-        b = points[i]
-        for mid in _nc_blocks(points[1:i]):
-            for tail in _nc_blocks(points[i:]):
-                merged = tuple(
-                    ((a,) + blk) if blk[0] == b else blk for blk in tail
-                )
-                yield mid + merged
+def _nc_labels(n):
+    """Label tuples of NC(n), ordered by where point 1's block continues
+    (nowhere first, then ever later points b) and then recursively by the
+    points between 1 and b before the points from b on."""
+
+    @cache
+    def tuples(lo, hi, root):
+        # noncrossing labels of the points lo..hi-1, lo's block labelled root
+        if lo == hi:
+            return [()]
+        head = (root,)
+        out = [head + t for t in tuples(lo + 1, hi, lo + 1)]
+        for b in range(lo + 1, hi):
+            tails = tuples(b, hi, root)
+            out += [hm + t for hm in [head + m for m in tuples(lo + 1, b, lo + 1)] for t in tails]
+        return out
+
+    return tuples(1, n + 1, 1)
 
 
 def enumerate_nc_a(n):
-    return [SetPartitionA(n, blocks) for blocks in _nc_blocks(tuple(range(1, n + 1)))]
+    return [_from_labels(lab) for lab in _nc_labels(n)]
 
 
 def rotate_a(p, k):
-    n = p.n
-    return SetPartitionA(
-        n, tuple(tuple(((x + k - 1) % n) + 1 for x in b) for b in p.blocks)
-    )
+    return _from_labels(_rotated(p.lab, k))
+
+
+@cache
+def _primes(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
 
 
 def rotation_period_a(p):
-    """Least d > 0 with rotate_a(p, d) == p; always a divisor of n."""
-    for d in sorted(d for d in range(1, p.n + 1) if p.n % d == 0):
-        if rotate_a(p, d) == p:
-            return d
-    raise AssertionError("unreachable")
+    """Least d > 0 with rotate_a(p, d) == p.  The turns that fix p are its
+    multiples, so n is divided by each prime q while the quotient fixes p."""
+    lab, d = p.lab, p.n
+    for q in _primes(d):
+        while d % q == 0 and _rotated(lab, d // q) == lab:
+            d //= q
+    return d
 
 
 # -- Brady bijection ---------------------------------------------------
@@ -134,13 +159,9 @@ def brady_f(rs, w):
         raise WrongSeries("Brady bijection needs series A")
     if not in_nc(rs, w):
         raise NotInInterval("element outside the interval")
-    perm = type_a_as_permutation(rs, w)
-    n1 = rs.rank + 1
-    cycles = permutation_cycles(perm)
-    in_cycle = set(x for c in cycles for x in c)
-    blocks = [tuple(sorted(c)) for c in cycles]
-    blocks += [(i,) for i in range(1, n1 + 1) if i not in in_cycle]
-    return SetPartitionA(n1, tuple(blocks))
+    cycles = permutation_cycles(type_a_as_permutation(rs, w))
+    least = {x: min(c) for c in cycles for x in c}
+    return _from_labels(tuple(least.get(i, i) for i in range(1, rs.rank + 2)))
 
 
 def brady_g(rs, p):
@@ -159,40 +180,42 @@ def brady_g(rs, p):
 # -- Kreweras-style complement ----------------------------------------
 
 
-def _region(sorted_positions, x):
-    """Arc index of circle position x relative to a block's positions."""
-    if len(sorted_positions) < 2:
-        return 0
-    i = bisect_right(sorted_positions, x) - 1
-    return i % len(sorted_positions)
+def _predecessors(p):
+    """pi^-1 on range(n), pi the permutation whose cycles are the blocks
+    read ascending: pred[i] is the point before i in its block."""
+    if not is_noncrossing_a(p):
+        raise Crossing("complement needs a noncrossing partition")
+    last = {m: i for i, m in enumerate(p.lab)}
+    pred = []
+    for i, m in enumerate(p.lab):
+        pred.append(last[m])
+        last[m] = i
+    return pred
 
 
-def _face_groups(block_positions, queries):
-    """Group query positions by the face of the chord diagram they lie in."""
-    sigs = {}
-    for label, pos in queries:
-        sig = tuple(_region(bp, pos) for bp in block_positions)
-        sigs.setdefault(sig, []).append(label)
-    return tuple(tuple(sorted(g)) for g in sigs.values())
+def _cycle_labels(f):
+    """The partition into the cycles of f, a permutation of range(n)."""
+    lab = [0] * len(f)
+    for i in range(len(f)):
+        j = i
+        while not lab[j]:
+            lab[j] = i + 1
+            j = f[j]
+    return _from_labels(tuple(lab))
 
 
 def kreweras_alpha(p):
-    """Coarsest partition on interlaced primed points keeping the union
-    noncrossing; primed i' sits between i and i+1."""
-    if not is_noncrossing_a(p):
-        raise Crossing("complement needs a noncrossing partition")
-    blocks = [sorted(2 * x - 1 for x in b) for b in p.blocks if len(b) > 1]
-    queries = [(i, 2 * i) for i in range(1, p.n + 1)]
-    return SetPartitionA(p.n, _face_groups(blocks, queries))
+    """K(pi) = pi^-1 c, c = (1 2 ... n): the coarsest partition of primed
+    points i' between i and i + 1 that keeps the union noncrossing."""
+    pred = _predecessors(p)
+    return _cycle_labels(pred[1:] + pred[:1])
 
 
 def kreweras_alpha_inverse(p):
-    """Inverse complement: the unique q with kreweras_alpha(q) == p."""
-    if not is_noncrossing_a(p):
-        raise Crossing("complement needs a noncrossing partition")
-    blocks = [sorted(2 * x for x in b) for b in p.blocks if len(b) > 1]
-    queries = [(i, 2 * i - 1) for i in range(1, p.n + 1)]
-    return SetPartitionA(p.n, _face_groups(blocks, queries))
+    """Inverse complement c K^-1, i -> pi^-1(i) + 1: the unique q with
+    kreweras_alpha(q) == p."""
+    n, pred = p.n, _predecessors(p)
+    return _cycle_labels([(j + 1) % n for j in pred])
 
 
 # -- rotation-invariant fibers -----------------------------------------
@@ -202,37 +225,27 @@ def project_f(p, s):
     h = p.n
     if h % s != 0 or h // s <= 1:
         raise BadDivisor(f"{s} is not a proper divisor of {h}")
-    if rotate_a(p, s) != p:
+    if _rotated(p.lab, s) != p.lab:
         raise NotInvariant("partition is not invariant under the rotation")
-    image = {tuple(sorted({((x - 1) % s) + 1 for x in b})) for b in p.blocks}
-    covered = [x for b in image for x in b]
-    if sorted(covered) != list(range(1, s + 1)):
-        raise NotInvariant("image blocks do not partition the quotient")
-    return SetPartitionA(s, tuple(image))
+    return _projected(p.lab, s)
+
+
+def _projected(lab, s):
+    """project_f on invariant labels: the blocks through r, r + s, ... turn
+    into one another, and the least of their labels is their least residue."""
+    return _from_labels(tuple(map(min, *(lab[j:j + s] for j in range(0, len(lab), s)))))
 
 
 def _lift_with_big_block(p, big, x):
-    """The unique invariant preimage of p whose lift of `big` is one block.
-
-    The big block is the full congruence class of `big`; its chords cut
-    the circle into arcs, and inside each arc the points are grouped by
-    the block their residue belongs to.
-    """
-    s = p.n
-    h = s * x
-    bigset = sorted(e + j * s for e in big for j in range(x))
-    blocks = [tuple(bigset)]
-    owner = {e: blk for blk in p.blocks for e in blk}
-    for i, b in enumerate(bigset):
-        nxt = bigset[(i + 1) % len(bigset)]
-        groups = {}
-        pt = b % h + 1
-        while pt != nxt:
-            res = (pt - 1) % s + 1
-            groups.setdefault(owner[res], []).append(pt)
-            pt = pt % h + 1
-        blocks.extend(tuple(g) for g in groups.values())
-    return SetPartitionA(h, tuple(blocks))
+    """The unique invariant preimage of p whose lift of the block labelled
+    `big` is one block: the points of that congruence class cut the circle
+    into arcs, and inside each arc points group by their residue's block."""
+    s, arcs = p.n, p.lab.count(big) * x
+    arc, classes = 0, []  # big points: class 0; others: (arc, residue's block) as one int
+    for m in p.lab * x:
+        arc += m == big
+        classes.append(0 if m == big else arc % arcs * (s + 1) + m)
+    return _from_labels(_relabel(classes))
 
 
 def construct_fiber(w, x):
@@ -245,15 +258,15 @@ def construct_fiber(w, x):
     if x <= 1:
         raise BadDivisor("fiber construction needs x > 1")
     s = w.n
-    out = [_lift_with_big_block(w, b, x) for b in w.blocks]
+    out = [_lift_with_big_block(w, m, x) for m in dict.fromkeys(w.lab)]
     aw = kreweras_alpha(w)
-    for b in aw.blocks:
-        out.append(kreweras_alpha_inverse(_lift_with_big_block(aw, b, x)))
+    for m in dict.fromkeys(aw.lab):
+        out.append(kreweras_alpha_inverse(_lift_with_big_block(aw, m, x)))
     _require(len(set(out)) == s + 1, "a fiber does not have n + 1 distinct members")
     for v in out:
         _require(is_noncrossing_a(v), "a fiber member is crossing")
-        _require(rotate_a(v, s) == v, "a fiber member is not rotation invariant")
-        _require(project_f(v, s) == w, "a fiber member projects elsewhere")
+        _require(_rotated(v.lab, s) == v.lab, "a fiber member is not rotation invariant")
+        _require(_projected(v.lab, s) == w, "a fiber member projects elsewhere")
     return out
 
 
@@ -270,7 +283,9 @@ class BPartition:
     model = "B"
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _canonical(self.blocks))
+        if not all(self.blocks):
+            raise NotAPartition("a block is empty")
+        object.__setattr__(self, "blocks", tuple(sorted(tuple(sorted(b)) for b in self.blocks)))
         seen = [x for b in self.blocks for x in b]
         universe = [x for i in range(1, self.n + 1) for x in (i, -i)]
         if sorted(seen) != sorted(universe):
@@ -288,14 +303,8 @@ class BPartition:
         object.__setattr__(self, "zero_block", zero[0] if zero else None)
 
     def to_json(self):
-        return {
-            "model": self.model,
-            "n": self.n,
-            "blocks": [
-                {"elements": list(b), "zero_block": b == self.zero_block}
-                for b in self.blocks
-            ],
-        }
+        blocks = [{"elements": list(b), "zero_block": b == self.zero_block} for b in self.blocks]
+        return {"model": self.model, "n": self.n, "blocks": blocks}
 
 
 class DPartition(BPartition):
@@ -332,22 +341,12 @@ def enumerate_nc_b(n):
 
 def _signed_cycles(perm):
     """Cycles of a signed permutation, grouped as paired or balanced."""
-    cycles = permutation_cycles(perm)
-    paired = []
-    balanced = []
-    used = set()
-    for c in cycles:
-        key = frozenset(c)
-        if key in used:
-            continue
-        neg = frozenset(-x for x in c)
-        if neg == key:
-            balanced.append(c)
-            used.add(key)
-        else:
-            paired.append(c)
-            used.add(key)
-            used.add(neg)
+    paired, balanced, used = [], [], set()
+    for c in permutation_cycles(perm):
+        key, neg = frozenset(c), frozenset(-x for x in c)
+        if key not in used:
+            (balanced if neg == key else paired).append(c)
+            used |= {key, neg}
     return paired, balanced
 
 
@@ -359,10 +358,7 @@ def ar_bijection_f(rs, w):
     n = rs.rank
     perm = type_d_as_signed_permutation(rs, w)
     paired, balanced = _signed_cycles(perm)
-    blocks = []
-    for c in paired:
-        blocks.append(tuple(sorted(c)))
-        blocks.append(tuple(sorted(-x for x in c)))
+    blocks = [tuple(sorted(sign * x for x in c)) for c in paired for sign in (1, -1)]
     if balanced:
         zero = sorted({x for c in balanced for x in c})
         blocks.append(tuple(zero))

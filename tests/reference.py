@@ -3,9 +3,13 @@
 Each is the plain, slow form of something thicket computes another way:
 the rank and matrix powers by elimination and multiplication, the
 absolute order by length additivity, invariance by scanning a root set
-or a strip of vertices, the noncrossing D test by the group side.
+or a strip of vertices, the noncrossing D test by the group side, and
+the A-model partitions as sorted block tuples: enumeration, rotation,
+the chord-crossing test and the face-group Kreweras complement.
 Nothing in src/ calls them.
 """
+
+from bisect import bisect_right
 
 from thicket.classifier import criterion_permutation
 from thicket.derived_engine import ThickDescriptor, fixed_by_cycles
@@ -184,3 +188,91 @@ def sigma_rho_power(p, s):
     if (s + 1) % 2 == 1:
         out = sigma(out)
     return out
+
+
+# -- the A model on block tuples ----------------------------------------
+
+
+def canonical_blocks(blocks):
+    """Blocks sorted ascending, each ascending: the form of SetPartitionA.blocks."""
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def _nc_raw(points):
+    """Noncrossing partitions of an ascending tuple as unsorted block tuples."""
+    if not points:
+        yield ()
+        return
+    a = points[0]
+    for sub in _nc_raw(points[1:]):
+        yield ((a,),) + sub
+    for i in range(1, len(points)):
+        b = points[i]
+        for mid in _nc_raw(points[1:i]):
+            for tail in _nc_raw(points[i:]):
+                merged = tuple(((a,) + blk) if blk[0] == b else blk for blk in tail)
+                yield mid + merged
+
+
+def nc_blocks(n):
+    """NC(n) as canonical block tuples, in the order of enumerate_nc_a."""
+    return [canonical_blocks(b) for b in _nc_raw(tuple(range(1, n + 1)))]
+
+
+def rotate_blocks(n, blocks, k):
+    """The blocks turned k steps on the circle 1..n."""
+    return canonical_blocks(tuple(((x + k - 1) % n) + 1 for x in b) for b in blocks)
+
+
+def rotation_period_blocks(n, blocks):
+    return next(d for d in range(1, n + 1) if n % d == 0 and rotate_blocks(n, blocks, d) == blocks)
+
+
+def _chords(block):
+    """Chords joining cyclically consecutive members of a block."""
+    b = sorted(block)
+    out = list(zip(b, b[1:]))
+    if len(b) > 2:
+        out.append((b[0], b[-1]))
+    return out
+
+
+def _interleave(a, b, c, d):
+    """Do the chords {a,b} and {c,d} cross on the circle?"""
+    lo, hi = min(a, b), max(a, b)
+    return (lo < c < hi) != (lo < d < hi)
+
+
+def is_noncrossing_blocks(blocks):
+    """No two chords of different blocks interleave."""
+    flat = [(c, i) for i, b in enumerate(blocks) for c in _chords(b)]
+    return not any(
+        i1 != i2 and _interleave(*c1, *c2)
+        for x, (c1, i1) in enumerate(flat)
+        for c2, i2 in flat[x + 1:]
+    )
+
+
+def _face_groups(block_positions, queries):
+    """Group query positions by the face of the chord diagram they lie in:
+    a face is the tuple of arcs, one per block, that contain it."""
+    def region(positions, x):
+        return (bisect_right(positions, x) - 1) % len(positions) if len(positions) > 1 else 0
+
+    faces = {}
+    for label, pos in queries:
+        faces.setdefault(tuple(region(bp, pos) for bp in block_positions), []).append(label)
+    return canonical_blocks(faces.values())
+
+
+def kreweras_blocks(n, blocks):
+    """The coarsest partition of primed points i' between i and i + 1
+    that keeps the union with blocks noncrossing."""
+    positions = [sorted(2 * x - 1 for x in b) for b in blocks if len(b) > 1]
+    return _face_groups(positions, [(i, 2 * i) for i in range(1, n + 1)])
+
+
+def kreweras_inverse_blocks(n, blocks):
+    """The unique q with kreweras_blocks(n, q) == blocks."""
+    positions = [sorted(2 * x for x in b) for b in blocks if len(b) > 1]
+    return _face_groups(positions, [(i, 2 * i - 1) for i in range(1, n + 1)])

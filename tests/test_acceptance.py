@@ -9,10 +9,7 @@ code with the engine, give the corrected values;
 test_engine_arbitrated_values pins them on the engine side.
 """
 
-import json
 from math import comb, gcd
-
-import pytest
 
 from thicket.classifier import (
     CategoryType,
@@ -44,7 +41,6 @@ from thicket.ncp_models import (
     enumerate_nc_a,
     rotate_a,
     rotation_period_a,
-    sigma,
 )
 from thicket.root_coxeter import (
     DynkinType,

@@ -59,6 +59,12 @@ def test_admissible_types():
             DynkinType("A", rank)
 
 
+def test_category_type_needs_a_dynkin_type():
+    for delta in ("A3", None, ("A", 3)):
+        with pytest.raises(InvalidType, match="DynkinType"):
+            CategoryType(delta, 1, 1)
+
+
 def test_torsion_normalization():
     assert ct("A", 4, 1, "infinity").t == "inf"
     assert ct("A", 3, 1, "2").t == 2
@@ -329,6 +335,12 @@ def test_algebra_conversion_rejections():
     assert out.r == 6
     out = algebra_type_to_category_type(DynkinType("D", 6), Fraction(3, 3), 1)
     assert out.r == 9
+
+
+def test_algebra_conversion_rejects_a_bool_frequency():
+    for f in (True, False):
+        with pytest.raises(NotAsashibaType, match="frequency must be a number"):
+            algebra_type_to_category_type(DynkinType("A", 3), f, 1)
 
 
 def test_algebra_conversion_never_infinite():

@@ -1,6 +1,6 @@
 """Cross-checks tying the group, partition and quiver views together."""
 
-from math import comb, gcd
+from math import gcd
 
 import pytest
 

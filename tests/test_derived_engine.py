@@ -40,7 +40,6 @@ from thicket.derived_engine import (
     vertex_map_permutation,
 )
 from thicket.linalg import mat_mul, mat_vec
-from thicket.ncp_models import ar_bijection_f, ar_bijection_g, sigma
 from thicket.root_coxeter import (
     BrokenInvariant,
     DynkinType,

@@ -3,8 +3,20 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import d_chord_sanity, is_in_nc_d, sigma_rho_power
+from reference import (
+    d_chord_sanity,
+    is_in_nc_d,
+    is_noncrossing_blocks,
+    kreweras_blocks,
+    kreweras_inverse_blocks,
+    nc_blocks,
+    rotate_blocks,
+    rotation_period_blocks,
+    sigma_rho_power,
+)
 from thicket.ncp_models import (
     BadDivisor,
     BPartition,
@@ -477,3 +489,82 @@ def test_rotation_preserves_crossing_too():
     crossing = SetPartitionA(4, ((1, 3), (2, 4)))
     for k in range(4):
         assert not is_noncrossing_a(rotate_a(crossing, k))
+
+
+# -- label tuples against the block-form references ---------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumeration_order_and_periods_match_the_block_form(n):
+    ref = nc_blocks(n)
+    ps = enumerate_nc_a(n)
+    assert [p.blocks for p in ps] == ref
+    assert [rotation_period_a(p) for p in ps] == [rotation_period_blocks(n, b) for b in ref]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kreweras_pair_matches_the_face_groups(n):
+    for p in enumerate_nc_a(n):
+        assert kreweras_alpha(p).blocks == kreweras_blocks(n, p.blocks)
+        assert kreweras_alpha_inverse(p).blocks == kreweras_inverse_blocks(n, p.blocks)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stack_test_matches_the_chord_test_on_every_set_partition(n):
+    verdicts = []
+    for blocks in all_set_partitions(n):
+        verdicts.append(is_noncrossing_a(SetPartitionA(n, blocks)))
+        assert verdicts[-1] == is_noncrossing_blocks(blocks), blocks
+    assert sum(verdicts) == catalan(n)
+
+
+@pytest.mark.parametrize("lab", [(2, 2), (1, 3, 3), (1, 1, 2), (0,), (1, -1), (1, 2, 1, 3)])
+def test_label_constructor_rejects_labels_that_are_not_canonical(lab):
+    with pytest.raises(BrokenInvariant, match="not canonical"):
+        ncp_models._from_labels(lab)
+
+
+@st.composite
+def nc_partitions(draw):
+    """A noncrossing partition of [n], n <= 40: each point opens a block or
+    joins one still open, which closes every block opened after it."""
+    n = draw(st.integers(1, 40))
+    open_blocks, blocks = [], []
+    for x in range(1, n + 1):
+        k = draw(st.integers(0, len(open_blocks)))
+        if k:
+            del open_blocks[len(open_blocks) - k + 1:]
+            open_blocks[-1].append(x)
+        else:
+            open_blocks.append([x])
+            blocks.append(open_blocks[-1])
+    return SetPartitionA(n, blocks)
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@PROPERTY
+@given(nc_partitions())
+def test_labels_and_blocks_round_trip(p):
+    assert is_noncrossing_a(p) and is_noncrossing_blocks(p.blocks)
+    q = SetPartitionA(p.n, p.blocks)
+    assert q == p and q.lab == p.lab and hash(q) == hash(p)
+
+
+@PROPERTY
+@given(nc_partitions())
+def test_kreweras_complement_and_its_inverse_cancel(p):
+    assert kreweras_alpha_inverse(kreweras_alpha(p)) == p
+    assert kreweras_alpha(kreweras_alpha_inverse(p)) == p
+
+
+@PROPERTY
+@given(nc_partitions(), st.integers(-80, 80))
+def test_rotation_matches_the_block_form(p, k):
+    n = p.n
+    assert rotate_a(p, n) == p
+    d = rotation_period_a(p)
+    assert n % d == 0 and rotate_a(p, d) == p
+    assert rotate_a(p, k).blocks == rotate_blocks(n, p.blocks, k)
+
