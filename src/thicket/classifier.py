@@ -231,10 +231,15 @@ def algebra_type_to_category_type(delta, frequency, t):
     must divide n for (A_n, 1), 3 for (D_n, 1) with 3 | n, and 1 otherwise.
     The translation exponent f * (h - 1) must be a positive integer.
     """
+    if not isinstance(delta, DynkinType):
+        raise InvalidType(f"delta must be a DynkinType, got {delta!r}")
     t = normalize_torsion(t)
     if isinstance(frequency, bool):
         raise NotAsashibaType(f"frequency must be a number, got {frequency!r}")
-    f = Fraction(frequency)
+    try:
+        f = Fraction(frequency)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise NotAsashibaType(f"frequency must be a number, got {frequency!r}") from None
     if f <= 0:
         raise NotAsashibaType("frequency must be positive")
     d = delta

@@ -15,7 +15,11 @@ applies cox^-1 to roots and bumps the shift when the sign flips; over h
 steps every column returns to its root with the shift increased by 2.
 Consequently the shift-raising suspension map squares to m -> m + h,
 the h-th power of the inverse translation.  That orientation of the
-identity is pinned here once, in suspension_vertex_map.
+identity is pinned here once, in suspension_vertex_map.  Roots repeat
+with period h, so the root map of a vertex map depends on it only mod
+tau^h: vertex_map_permutation walks once per vertex map mod tau^h, and
+the invariance filter fixed_by_cycles keeps one result per root system
+and tuple of cycle masks.
 """
 
 from dataclasses import dataclass
@@ -193,7 +197,7 @@ class Labeling:
         self.coxinv = mat_inverse(rs.cox.matrix)
         proj = mat_inverse(rs.euler_form)
         self.projectives = tuple(tuple(row) for row in proj)
-        self._permutations = {}  # vertex map -> vertex_map_permutation
+        self._permutations = {}  # (perm, offsets mod h) -> vertex_map_permutation
         for row in self.projectives:
             _require(row in rs.positives, "projective seed is not a positive root")
         self._root_col = []
@@ -308,7 +312,7 @@ def root_permutation(labeling, g):
     Raises MixedRoots when g mixes roots (never for the maps built here).
     Each call walks the labeling afresh; the classification routes read
     the map through vertex_map_permutation, which walks once per vertex
-    map and caches it as an index permutation of rs.positives.
+    map mod tau^h and caches it as an index permutation of rs.positives.
     """
     out = {}
     h = labeling.h
@@ -326,7 +330,8 @@ def _descriptor_table(rs):
     order; built once per root system."""
     if rs._descriptor_cache is None:
         rs._descriptor_cache = tuple(
-            (mask, ThickDescriptor(rs.delta, w, roots)) for w, mask, roots in _interval(rs).values()
+            (mask, ThickDescriptor(rs.delta, w, roots))
+            for w, (mask, roots) in _interval(rs).items()
         )
     return rs._descriptor_cache
 
@@ -339,27 +344,38 @@ def fixed_by_cycles(rs, cycles):
     is a union of its cycles, so with the nontrivial cycle masks of a
     root map these are the elements whose root set it fixes.  Each cycle
     in turn filters the survivors of the one before; the descriptors are
-    the ones built once per root system.
+    the ones built once per root system.  The result is a function of
+    (rs, cycles) alone, and cycle_masks orders the cycles by least index,
+    so it is kept on rs under the key cycles: every route whose root map
+    has these cycles reads one filter result, and a route whose map has
+    other cycles reads another.
     """
-    kept = _descriptor_table(rs)
-    for c in cycles:
-        ends = (0, c)
-        kept = [e for e in kept if e[0] & c in ends]
-    return [d for _, d in kept]
+    kept = rs._fixed_cache.get(cycles)
+    if kept is None:
+        kept = _descriptor_table(rs)
+        for c in cycles:
+            ends = (0, c)
+            kept = [e for e in kept if e[0] & c in ends]
+        kept = rs._fixed_cache[cycles] = tuple(d for _, d in kept)
+    return list(kept)
 
 
 def vertex_map_permutation(labeling, g):
     """root_permutation(labeling, g) as (index permutation of
     labeling.rs.positives, its nontrivial cycle masks).
 
-    The labeling walk runs, and its map is checked to be a permutation
-    (BrokenInvariant otherwise), once per vertex map; the result is kept
-    on the labeling.
+    root_at is h-periodic in m, so the walk reads the same roots for g
+    and for g with any offset moved by a multiple of h (g.tau^-h).  It
+    runs, and its map is checked to be a permutation (BrokenInvariant
+    otherwise), once per vertex map mod tau^h; the result is kept on the
+    labeling under (g.perm, offsets mod h).
     """
-    cached = labeling._permutations.get(g)
+    h = labeling.h
+    key = (g.perm, tuple(o % h for o in g.offset))
+    cached = labeling._permutations.get(key)
     if cached is None:
         perm = index_permutation(labeling.rs, root_permutation(labeling, g))
-        cached = labeling._permutations[g] = (perm, cycle_masks(perm))
+        cached = labeling._permutations[key] = (perm, cycle_masks(perm))
     return cached
 
 
@@ -432,9 +448,10 @@ def cluster_category_check(delta, power=1):
     rs = build_root_system(delta)
     labeling = build_label_walk(delta)
     invariant = fixed_by_cycles(rs, vertex_map_permutation(labeling, cluster_map(delta, power))[1])
-    failures = tuple(
-        d.nc for d in invariant if d.roots not in (frozenset(), frozenset(rs.positives))
-    )
+    # a descriptor's roots are positive roots, so its size tells the two
+    # trivial sets from the rest
+    trivial = (0, len(rs.positives))
+    failures = tuple(d.nc for d in invariant if len(d.roots) not in trivial)
     return VerificationReport(
         f"orbit by S^{power}.tau^-1 has only the two trivial invariant sets ({delta})",
         len(invariant),

@@ -12,7 +12,9 @@ so one integer kernel of x - 1 per element of the lower half gives all
 its children at once; x is itself in the interval, so past the middle
 layer its root set is already in the table.  Root sets are bitmasks over
 rs.positives, with a frozenset view for callers, and reflections act by
-rank-one updates, so the search multiplies no matrices.  A root map is
+rank-one updates, so the search multiplies no matrices.  The table is
+keyed by the elements it hands out, and an element hashes its matrix
+once, so looking up a root set hashes no matrix.  A root map is
 an index permutation of rs.positives, split into cycle masks; cox's is
 computed once per root system.
 """
@@ -127,6 +129,15 @@ def arrows(delta):
 class GroupElement:
     matrix: tuple
 
+    @cached_property
+    def _hash(self):
+        return hash(self.matrix)
+
+    def __hash__(self):
+        # the interval table is keyed by elements, and an n x n tuple of
+        # tuples is hashed afresh on every lookup; hash it once
+        return self._hash
+
     def __mul__(self, other):
         return GroupElement(mat_mul(self.matrix, other.matrix))
 
@@ -182,8 +193,10 @@ class RootSystem:
         )
         self._interval_cache = None
         # filled by the classification routes: (mask, descriptor) per
-        # interval element, and root maps as (index permutation, cycles)
+        # interval element, the filter's kept descriptors per tuple of
+        # cycle masks, and root maps as (index permutation, cycles)
         self._descriptor_cache = None
+        self._fixed_cache = {}
         self._permutation_cache = {}
 
     # -- construction ------------------------------------------------
@@ -294,9 +307,9 @@ def _reflections_below(rs, x):
 
 
 def _interval(rs):
-    """[id, cox] as an insertion-ordered dict from each element's matrix to
-    its entry (GroupElement, mask, root set), ordered by reflection length,
-    then matrix; built once per root system.
+    """[id, cox] as an insertion-ordered dict from each element, a
+    GroupElement, to its entry (mask, root set), ordered by reflection
+    length, then matrix; built once per root system.
 
     The mask has bit i set when rs.positives[i] is in the root set.  Each
     w is carried with x = w^-1 cox.  As l(wt) <= l(w) + 1 and l(wt) +
@@ -307,20 +320,24 @@ def _interval(rs):
     into the mask of v, so a finished layer holds the mask of every
     reflection below each of its elements.  x is in the interval, with
     l(x) = n - l(w), so from the middle layer on its mask is read from
-    the table instead of a kernel.  With s_a = 1 - a (B a)^T the
-    products are rank-one updates: w s_a = w - (w a)(B a)^T for every
-    edge, and s_a x = x - a ((B a)^T x) once per new child.
+    the search's own matrix-keyed masks instead of a kernel.  With s_a =
+    1 - a (B a)^T the products are rank-one updates: w s_a = w - (w a)(B a)^T
+    for every edge, and s_a x = x - a ((B a)^T x) once per new child.
+    The table's keys are the elements enumerate_nc hands out, each of
+    which hashes its matrix once, so a lookup by one of them hashes nothing.
     """
     if rs._interval_cache is not None:
         return rs._interval_cache
     positives, forms = rs.positives, rs._root_forms
-    table = {rs.identity.matrix: (rs.identity, 0, frozenset())}
+    table = {rs.identity: (0, frozenset())}
+    masks = {rs.identity.matrix: 0}
     layer = [(rs.identity.matrix, rs.cox.matrix)]
     for _ in range(rs.rank):
         found = {}  # wt -> [t x, mask of the roots reaching wt]
         for w, x in layer:
-            known = table.get(x)
-            below = known[1] if known else _reflections_below(rs, x)
+            below = masks.get(x)
+            if below is None:
+                below = _reflections_below(rs, x)
             while below:
                 i = (below & -below).bit_length() - 1
                 below &= below - 1
@@ -334,20 +351,20 @@ def _interval(rs):
                     entry[1] |= 1 << i
         layer = sorted((wt, tx) for wt, (tx, _) in found.items())
         for wt, _ in layer:
-            mask = found[wt][1]
+            mask = masks[wt] = found[wt][1]
             roots = frozenset(v for i, v in enumerate(positives) if mask >> i & 1)
-            table[wt] = (GroupElement(wt), mask, roots)
+            table[GroupElement(wt)] = (mask, roots)
     rs._interval_cache = table
     return table
 
 
 def enumerate_nc(rs):
     """All w with id <= w <= cox, ordered by reflection length then matrix."""
-    return tuple(w for w, _, _ in _interval(rs).values())
+    return tuple(_interval(rs))
 
 
 def in_nc(rs, w):
-    return w.matrix in _interval(rs)
+    return w in _interval(rs)
 
 
 def roots_below(rs, w):
@@ -356,10 +373,10 @@ def roots_below(rs, w):
     This is the root-set model of the subcategory attached to w: the
     dimension vectors of its indecomposables.
     """
-    entry = _interval(rs).get(w.matrix)
+    entry = _interval(rs).get(w)
     if entry is None:
         raise NotInInterval(f"element is not in the interval below cox({rs.delta})")
-    return entry[2]
+    return entry[1]
 
 
 # -- root maps as index permutations -----------------------------------

@@ -3,10 +3,10 @@
 Each is the plain, slow form of something thicket computes another way:
 the rank and matrix powers by elimination and multiplication, the
 absolute order by length additivity, invariance by scanning a root set
-or a strip of vertices, the noncrossing D test by the group side, and
-the A-model partitions as sorted block tuples: enumeration, rotation,
-the chord-crossing test and the face-group Kreweras complement.
-Nothing in src/ calls them.
+or a strip of vertices, the invariance filter on root sets with no memo,
+the noncrossing D test by the group side, and the A-model partitions as
+sorted block tuples: enumeration, rotation, the chord-crossing test and
+the face-group Kreweras complement.  Nothing in src/ calls them.
 """
 
 from bisect import bisect_right
@@ -17,7 +17,7 @@ from thicket.linalg import identity, mat_inverse, mat_mul, mat_sub
 from thicket.ncp_models import SetPartitionA, ar_bijection_g, is_noncrossing_a, rho, sigma
 from thicket.ncp_models import _boundary_position
 from thicket.root_coxeter import GroupElement, NotInInterval, arrows, cycle_masks
-from thicket.root_coxeter import index_permutation, roots_below
+from thicket.root_coxeter import enumerate_nc, index_permutation, roots_below
 
 
 def mat_pow(a, k):
@@ -158,6 +158,19 @@ def fixed_descriptors(rs, root_map):
     interval order; anything else raises BrokenInvariant.  The product
     routes hand their cached cycle masks to fixed_by_cycles directly."""
     return fixed_by_cycles(rs, cycle_masks(index_permutation(rs, root_map)))
+
+
+def uncached_fixed(rs, cycles):
+    """fixed_by_cycles without its memo, its masks or its descriptors: the
+    (element, root set) pairs of the interval, in order, whose root set
+    holds all or none of each cycle's roots, worked out afresh per call."""
+    on_cycle = [{a for i, a in enumerate(rs.positives) if c >> i & 1} for c in cycles]
+    out = []
+    for w in enumerate_nc(rs):
+        roots = roots_below(rs, w)
+        if all(cycle <= roots or not cycle & roots for cycle in on_cycle):
+            out.append((w, roots))
+    return out
 
 
 def is_in_nc_d(rs, p):

@@ -63,6 +63,8 @@ def test_category_type_needs_a_dynkin_type():
     for delta in ("A3", None, ("A", 3)):
         with pytest.raises(InvalidType, match="DynkinType"):
             CategoryType(delta, 1, 1)
+        with pytest.raises(InvalidType, match="DynkinType"):
+            algebra_type_to_category_type(delta, 1, 1)
 
 
 def test_torsion_normalization():
@@ -338,7 +340,8 @@ def test_algebra_conversion_rejections():
 
 
 def test_algebra_conversion_rejects_a_bool_frequency():
-    for f in (True, False):
+    # and every frequency that Fraction cannot read
+    for f in (True, False, "x", None, [1], "1/0", float("nan"), float("inf")):
         with pytest.raises(NotAsashibaType, match="frequency must be a number"):
             algebra_type_to_category_type(DynkinType("A", 3), f, 1)
 

@@ -10,8 +10,10 @@ from reference import (
     is_quiver_automorphism,
     mat_pow,
     thick_from_nc,
+    uncached_fixed,
     zd_arrows,
 )
+from thicket import derived_engine
 from thicket.classifier import (
     CategoryType,
     InvarianceCriterion,
@@ -22,8 +24,10 @@ from thicket.classifier import (
 )
 from thicket.derived_engine import (
     InvalidType,
+    Labeling,
     MixedRoots,
     QuiverAutomorphism,
+    _after_tau,
     brute_force_classify,
     build_label_walk,
     cluster_category_check,
@@ -45,6 +49,7 @@ from thicket.root_coxeter import (
     DynkinType,
     RootSystem,
     build_root_system,
+    cycle_masks,
     enumerate_nc,
     roots_below,
 )
@@ -637,6 +642,7 @@ def test_a_root_system_built_by_hand_has_its_own_caches():
     own = RootSystem(d)
     assert own is not shared
     assert own._descriptor_cache is None and own._permutation_cache == {}
+    assert own._fixed_cache == {}
     # s = 3 divides no h = 8, so no classification route builds this criterion
     crit = InvarianceCriterion("cox_conjugation", 3)
     got = fixed_descriptors(own, criterion_root_map(own, crit))
@@ -646,3 +652,96 @@ def test_a_root_system_built_by_hand_has_its_own_caches():
     assert got == expected
     assert all(x is not y for x, y in zip(got, expected))
     assert own._descriptor_cache is not shared._descriptor_cache
+    assert own._fixed_cache and own._fixed_cache is not shared._fixed_cache
+
+
+# -- the cached filter and the cached walk --------------------------------------
+
+
+def pairs(descriptors):
+    return [(x.nc, x.roots) for x in descriptors]
+
+
+@pytest.mark.parametrize("spec", ALL_SMALL)
+def test_memoized_filter_matches_the_uncached_reference_at_every_cell(spec):
+    # the criterion route, brute force and both cluster powers read one
+    # memo; each result, on its first call (a miss, or a hit another route
+    # left) and on a repeat (a hit), against the reference worked out afresh
+    d = DynkinType(*spec)
+    rs = build_root_system(d)
+    lab = build_label_walk(d)
+    reference = {}
+
+    def expected(cycles):
+        if cycles not in reference:
+            reference[cycles] = uncached_fixed(rs, cycles)
+        return reference[cycles]
+
+    for ct in cells_of(d):
+        criterion = criterion_permutation(rs, reduce_criterion(ct))[1]
+        generator = vertex_map_permutation(lab, generator_map(ct))[1]
+        for _ in range(2):
+            assert pairs(enumerate_thick(ct)) == expected(criterion), str(ct)
+            assert pairs(brute_force_classify(ct)) == expected(generator), str(ct)
+    for power in (1, 2):
+        cycles = vertex_map_permutation(lab, cluster_map(d, power))[1]
+        for _ in range(2):
+            assert pairs(fixed_by_cycles(rs, cycles)) == expected(cycles)
+            report = cluster_category_check(d, power)
+            assert report.passed and report.total == len(expected(cycles)) == 2
+    assert set(reference) <= set(rs._fixed_cache)
+
+
+@pytest.mark.parametrize("spec", [("A", 5), ("D", 4), ("E", 6)])
+def test_mutating_a_filter_result_leaves_the_next_one_alone(spec):
+    d = DynkinType(*spec)
+    rs = build_root_system(d)
+    lab = build_label_walk(d)
+    every = [criterion_permutation(rs, reduce_criterion(ct))[1] for ct in cells_of(d)]
+    every += [vertex_map_permutation(lab, cluster_map(d, p))[1] for p in (1, 2)]
+    for cycles in every + [()]:
+        first = fixed_by_cycles(rs, cycles)
+        first.reverse()
+        first.append(first[0])
+        second = fixed_by_cycles(rs, cycles)
+        assert second is not first
+        assert pairs(second) == uncached_fixed(rs, cycles)
+        second.clear()
+        assert pairs(fixed_by_cycles(rs, cycles)) == uncached_fixed(rs, cycles)
+
+
+@pytest.mark.parametrize("spec", ALL_SMALL)
+def test_one_labeling_walk_per_vertex_map_mod_tau_h(spec):
+    # g and g.tau^-h read the same roots, so they share one cached entry,
+    # and that entry is what a fresh walk of either gives
+    d = DynkinType(*spec)
+    rs = build_root_system(d)
+    lab = build_label_walk(d)
+    h = d.coxeter_number
+    maps = [generator_map(ct) for ct in cells_of(d)] + [cluster_map(d, p) for p in (1, 2)]
+    for g in maps:
+        later = _after_tau(g, h)
+        assert later != g
+        entry = vertex_map_permutation(lab, g)
+        assert vertex_map_permutation(lab, later) is entry
+        assert entry[1] == cycle_masks(entry[0])
+        for x in (g, later, _after_tau(g, -2 * h)):
+            assert as_root_map(rs, entry[0]) == root_permutation(lab, x)
+
+
+def test_the_generators_of_r_and_r_plus_h_walk_once(monkeypatch):
+    # a fresh labeling, so every walk is counted: r = 1..2h at each t
+    # needs h walks per t, not 2h
+    d = DynkinType("D", 5)
+    lab = Labeling(RootSystem(d))
+    walks = []
+
+    def counted(labeling, g):
+        walks.append(g)
+        return root_permutation(labeling, g)
+
+    monkeypatch.setattr(derived_engine, "root_permutation", counted)
+    cells = list(cells_of(d))
+    for ct in cells:
+        vertex_map_permutation(lab, generator_map(ct))
+    assert len(walks) == len(cells) // 2 == len(lab._permutations)

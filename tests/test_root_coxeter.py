@@ -452,6 +452,26 @@ def test_group_element_json_digest(spec):
     assert digest == PERMUTATION_JSON_DIGESTS[spec]
 
 
+@pytest.mark.parametrize("spec", [("A", 4), ("D", 5), ("E", 6)])
+def test_a_fresh_equal_element_finds_its_interval_entry(spec):
+    # the table is keyed by the elements enumerate_nc hands out; a new
+    # element with a new but equal matrix hashes equal and finds the entry
+    rs = build_root_system(DynkinType(*spec))
+    for w in enumerate_nc(rs):
+        fresh = GroupElement(tuple(tuple(list(row)) for row in w.matrix))
+        assert fresh is not w and fresh.matrix is not w.matrix
+        assert fresh == w and hash(fresh) == hash(w)
+        assert in_nc(rs, fresh)
+        assert roots_below(rs, fresh) is roots_below(rs, w)
+    top = rs.identity * rs.cox
+    assert top is not rs.cox and roots_below(rs, top) == frozenset(rs.positives)
+    # cox^-1 has length n and is not cox, so it lies outside the interval
+    outside = rs.cox.inverse()
+    assert not in_nc(rs, outside)
+    with pytest.raises(NotInInterval):
+        roots_below(rs, outside)
+
+
 def test_roots_below_rejects_elements_outside_interval():
     rs = build_root_system(DynkinType("A", 2))
     s1 = rs.simple_reflection(1)
