@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 invalid mathematical input,
 
 import argparse
 import json
-import os
 import re
 import sys
 from math import comb, gcd
@@ -39,7 +38,6 @@ from .ncp_models import (
 from .root_coxeter import (
     DynkinType,
     InvalidInput,
-    InvalidType,
     build_root_system,
     enumerate_nc,
 )
@@ -47,10 +45,6 @@ from .root_coxeter import (
 USAGE_ERROR = 1
 MATH_ERROR = 2
 MISMATCH = 3
-
-
-class UsageError(Exception):
-    """Bad input from the command line or the environment (exit 1)."""
 
 
 class IndexOutOfRange(InvalidInput):
@@ -62,21 +56,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-
-
-def max_e_rank():
-    raw = os.environ.get("THICKET_MAX_RANK", "6")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"THICKET_MAX_RANK must be an integer, got {raw!r}") from None
-
-
-def _within_cap(ct):
-    """Refuse to enumerate a series-E type above THICKET_MAX_RANK."""
-    if ct.delta.series == "E" and ct.delta.rank > max_e_rank():
-        raise InvalidType(f"rank {ct.delta.rank} exceeds THICKET_MAX_RANK={max_e_rank()}")
-    return ct
 
 
 def _positive_int(raw):
@@ -178,7 +157,7 @@ def cmd_count(args):
     ct = _category_type(args)
     shown = count_thick(ct, proper=args.proper)
     if args.check:
-        report = classification_report(_within_cap(ct))
+        report = classification_report(ct)
         print(json.dumps(report, sort_keys=True) if args.json else shown)
         if not report["agree"]:
             print("\n  ".join(_mismatch_lines(ct, report)), file=sys.stderr)
@@ -207,7 +186,7 @@ def cmd_enumerate(args):
 
 
 def cmd_classify(args):
-    ct = _within_cap(_category_type(args))
+    ct = _category_type(args)
     for desc in enumerate_thick(ct):
         print(json.dumps(desc.to_json(ct), sort_keys=True))
     return 0
@@ -225,7 +204,7 @@ def cmd_render(args):
             fh.write(svg)
         print(args.out)
         return 0
-    ct = _within_cap(_category_type(args))
+    ct = _category_type(args)
     window = args.window or (0, 2 * ct.delta.coxeter_number)
     descs = enumerate_thick(ct)
     if args.index is not None and not 0 <= args.index < len(descs):
@@ -248,7 +227,7 @@ def cmd_render(args):
 
 def cmd_table(args):
     cells = [
-        _within_cap(CategoryType(DynkinType(series, rank), r, t))
+        CategoryType(DynkinType(series, rank), r, t)
         for n in range(1, args.max_rank + 1)
         for r in range(1, args.max_r + 1)
         for series, rank, t in classifier.admissible_types_for_rank(n)
@@ -275,6 +254,12 @@ def cmd_table(args):
 # -- verify battery -----------------------------------------------------
 
 
+def _in_bound(series, rank, max_rank):
+    """verify's one rank bound: series A and D up to max_rank, series E
+    up to max(max_rank, 6), so E6 is always checked."""
+    return rank <= (max(max_rank, 6) if series == "E" else max_rank)
+
+
 def _check_partition_counts(max_rank):
     n = max(4, min(8, max_rank + 3))
     ok = all(len(enumerate_nc_a(k)) == classifier.catalan(k) for k in range(1, n + 1))
@@ -292,9 +277,7 @@ def _check_interval_counts(max_rank):
         ("D", 4, 50), ("D", 5, 182), ("D", 6, 672),
         ("E", 6, 833), ("E", 7, 4160), ("E", 8, 25080),
     ]:
-        if rank > max_rank and series != "E":
-            continue
-        if series == "E" and rank > max_e_rank():
+        if not _in_bound(series, rank, max_rank):
             continue
         rs = build_root_system(DynkinType(series, rank))
         got = len(enumerate_nc(rs))
@@ -362,8 +345,7 @@ def _check_commuting_squares(max_rank):
 def _check_engine_identities(max_rank):
     specs = [("A", n) for n in range(1, max_rank + 1)]
     specs += [("D", n) for n in range(4, max_rank + 1)]
-    if max_e_rank() >= 6 and max_rank >= 6:
-        specs.append(("E", 6))
+    specs += [("E", n) for n in (6, 7, 8) if _in_bound("E", n, max_rank)]
     for series, rank in specs:
         d = DynkinType(series, rank)
         lab = build_label_walk(d)
@@ -383,10 +365,9 @@ def _check_engine_identities(max_rank):
 
 def _check_classification(max_rank):
     bad = []
-    e_cap = max_e_rank()
-    for n in range(1, max(max_rank, min(e_cap, 8)) + 1):
+    for n in range(1, max(max_rank, 6) + 1):
         for series, rank, t in classifier.admissible_types_for_rank(n):
-            if rank > (e_cap if series == "E" else max_rank):
+            if not _in_bound(series, rank, max_rank):
                 continue
             d = DynkinType(series, rank)
             for r in range(1, 2 * d.coxeter_number + 1):
@@ -396,12 +377,11 @@ def _check_classification(max_rank):
                     bad.append("; ".join(_mismatch_lines(ct, report)))
     if bad:
         return False, f"classification disagrees: {' | '.join(bad[:5])}"
-    e_types = ", ".join(f"E{n}" for n in (6, 7, 8) if n <= e_cap)
-    e_part = f" and for series E ({e_types})" if e_types else ""
+    e_types = ", ".join(f"E{n}" for n in (6, 7, 8) if _in_bound("E", n, max_rank))
     triality = " (the triality (D4, r, 3) included)" if max_rank >= 4 else ""
     return True, (
         f"criterion equals brute force and the count formula equals enumeration"
-        f" for all admissible types up to rank {max_rank}{triality}{e_part}"
+        f" for all admissible types up to rank {max_rank}{triality} and for series E ({e_types})"
     )
 
 
@@ -470,9 +450,6 @@ def main(argv=None):
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_ERROR
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
 
 
 if __name__ == "__main__":

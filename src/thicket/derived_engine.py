@@ -29,6 +29,7 @@ from .linalg import mat_inverse, mat_vec
 from .root_coxeter import (
     DynkinType,
     InvalidType,
+    ThickDescriptor,  # re-exported: the value type of the classification routes
     arrows,
     build_root_system,
     cycle_masks,
@@ -266,41 +267,7 @@ def build_label_walk(delta):
     return Labeling(build_root_system(delta))
 
 
-# -- thick subcategories as vertex sets --------------------------------
-
-
-@dataclass(frozen=True)
-class ThickDescriptor:
-    delta: DynkinType
-    nc: object
-    roots: frozenset
-
-    def marked(self, labeling, m, q):
-        return labeling.root_at(m, q) in self.roots
-
-    def marked_vertices(self, labeling, m_lo, m_hi):
-        return [
-            (m, q)
-            for m in range(m_lo, m_hi)
-            for q in range(1, self.delta.rank + 1)
-            if self.marked(labeling, m, q)
-        ]
-
-    def to_json(self, ct=None):
-        from .root_coxeter import group_element_to_json
-
-        rs = build_root_system(self.delta)
-        labeling = build_label_walk(self.delta)
-        doc = {
-            "nc": group_element_to_json(rs, self.nc),
-            "roots": sorted([list(r) for r in self.roots]),
-            "marked_vertices": [
-                [m, q] for (m, q) in self.marked_vertices(labeling, 0, labeling.h)
-            ],
-        }
-        if ct is not None:
-            doc["type"] = ct.to_json()
-        return doc
+# -- root maps and the invariance filter ------------------------------
 
 
 def root_permutation(labeling, g):
@@ -325,17 +292,6 @@ def root_permutation(labeling, g):
     return out
 
 
-def _descriptor_table(rs):
-    """(mask, ThickDescriptor) for every interval element, in interval
-    order; built once per root system."""
-    if rs._descriptor_cache is None:
-        rs._descriptor_cache = tuple(
-            (mask, ThickDescriptor(rs.delta, w, roots))
-            for w, (mask, roots) in _interval(rs).items()
-        )
-    return rs._descriptor_cache
-
-
 def fixed_by_cycles(rs, cycles):
     """Descriptors of the interval elements whose root mask meets each
     cycle mask c in nothing or in all of c, as a new list in interval order.
@@ -344,7 +300,7 @@ def fixed_by_cycles(rs, cycles):
     is a union of its cycles, so with the nontrivial cycle masks of a
     root map these are the elements whose root set it fixes.  Each cycle
     in turn filters the survivors of the one before; the descriptors are
-    the ones built once per root system.  The result is a function of
+    the interval table's own.  The result is a function of
     (rs, cycles) alone, and cycle_masks orders the cycles by least index,
     so it is kept on rs under the key cycles: every route whose root map
     has these cycles reads one filter result, and a route whose map has
@@ -352,11 +308,11 @@ def fixed_by_cycles(rs, cycles):
     """
     kept = rs._fixed_cache.get(cycles)
     if kept is None:
-        kept = _descriptor_table(rs)
+        kept = _interval(rs).values()
         for c in cycles:
             ends = (0, c)
-            kept = [e for e in kept if e[0] & c in ends]
-        kept = rs._fixed_cache[cycles] = tuple(d for _, d in kept)
+            kept = [d for d in kept if d.mask & c in ends]
+        kept = rs._fixed_cache[cycles] = tuple(kept)
     return list(kept)
 
 

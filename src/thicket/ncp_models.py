@@ -168,7 +168,7 @@ def brady_g(rs, p):
     if rs.delta.series != "A":
         raise WrongSeries("Brady bijection needs series A")
     if p.n != rs.rank + 1:
-        raise ValueError("partition size must be rank + 1")
+        raise NotAPartition("partition size must be rank + 1")
     if not is_noncrossing_a(p):
         raise Crossing("partition is crossing")
     perm = {}
@@ -403,7 +403,7 @@ def _paired_cycle(n, block):
             gaps.append((i, inside))
         breaks = [i for i, inside in gaps if mirror <= inside]
         if len(breaks) != 1:
-            raise ValueError("mirror block does not sit in a unique arc")
+            raise NotInInterval("mirror block does not sit in a unique arc")
         start = (breaks[0] + 1) % len(boundary)
     ordered = boundary[start:] + boundary[:start]
     return tuple(ordered) + (centroid[0],)
@@ -414,7 +414,7 @@ def ar_bijection_g(rs, p):
         raise WrongSeries("this bijection needs series D")
     n = rs.rank
     if p.n != n:
-        raise ValueError("partition size must match the rank")
+        raise NotAPartition("partition size must match the rank")
     perm = {}
     zero = p.zero_block
     done = set()
@@ -430,7 +430,7 @@ def ar_bijection_g(rs, p):
         perm.update(_cycle_to_mapping(tuple(-x for x in cyc)))
     if zero is not None:
         if n not in zero:
-            raise ValueError("zero block must contain the centroid labels")
+            raise NotInInterval("zero block must contain the centroid labels")
         perm.update(_cycle_to_mapping((n, -n)))
         rest = tuple(
             sorted(

@@ -14,12 +14,14 @@ layer its root set is already in the table.  Root sets are bitmasks over
 rs.positives, with a frozenset view for callers, and reflections act by
 rank-one updates, so the search multiplies no matrices.  The table is
 keyed by the elements it hands out, and an element hashes its matrix
-once, so looking up a root set hashes no matrix.  A root map is
+once, so looking up a root set hashes no matrix.  Each entry is the
+element's ThickDescriptor, which the classification routes hand out as
+they are.  A root map is
 an index permutation of rs.positives, split into cycle masks; cox's is
 computed once per root system.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .linalg import (
@@ -192,10 +194,9 @@ class RootSystem:
             self, {a: self.normalize_root(self.cox(a))[0] for a in self.positives}
         )
         self._interval_cache = None
-        # filled by the classification routes: (mask, descriptor) per
-        # interval element, the filter's kept descriptors per tuple of
-        # cycle masks, and root maps as (index permutation, cycles)
-        self._descriptor_cache = None
+        # filled by the classification routes: the filter's kept
+        # descriptors per tuple of cycle masks, and root maps as (index
+        # permutation, cycles)
         self._fixed_cache = {}
         self._permutation_cache = {}
 
@@ -306,15 +307,53 @@ def _reflections_below(rs, x):
     return below
 
 
+@dataclass(frozen=True, slots=True)
+class ThickDescriptor:
+    """The thick subcategory of the interval element nc: its root set and,
+    as a bitmask over rs.positives, the same set (not compared)."""
+
+    delta: DynkinType
+    nc: GroupElement
+    roots: frozenset
+    mask: int = field(compare=False)
+
+    def marked(self, labeling, m, q):
+        return labeling.root_at(m, q) in self.roots
+
+    def marked_vertices(self, labeling, m_lo, m_hi):
+        return [
+            (m, q)
+            for m in range(m_lo, m_hi)
+            for q in range(1, self.delta.rank + 1)
+            if self.marked(labeling, m, q)
+        ]
+
+    def to_json(self, ct=None):
+        from .derived_engine import build_label_walk
+
+        rs = build_root_system(self.delta)
+        labeling = build_label_walk(self.delta)
+        doc = {
+            "nc": group_element_to_json(rs, self.nc),
+            "roots": sorted([list(r) for r in self.roots]),
+            "marked_vertices": [
+                [m, q] for (m, q) in self.marked_vertices(labeling, 0, labeling.h)
+            ],
+        }
+        if ct is not None:
+            doc["type"] = ct.to_json()
+        return doc
+
+
 def _interval(rs):
     """[id, cox] as an insertion-ordered dict from each element, a
-    GroupElement, to its entry (mask, root set), ordered by reflection
-    length, then matrix; built once per root system.
+    GroupElement, to its ThickDescriptor, ordered by reflection length,
+    then matrix; built once per root system.
 
-    The mask has bit i set when rs.positives[i] is in the root set.  Each
-    w is carried with x = w^-1 cox.  As l(wt) <= l(w) + 1 and l(wt) +
-    l(t x) >= n, wt is one layer up exactly when l(t x) = l(x) - 1, that
-    is when t <= x.  So one integer kernel of x - 1 (_reflections_below)
+    The descriptor's mask has bit i set when rs.positives[i] is in its
+    root set.  Each w is carried with x = w^-1 cox.  As l(wt) <= l(w) + 1
+    and l(wt) + l(t x) >= n, wt is one layer up exactly when l(t x) =
+    l(x) - 1, that is when t <= x.  So one integer kernel of x - 1 (_reflections_below)
     gives every child and no candidate is rejected.  Each s_a <= v
     reaches v from the layer below, as v = (v s_a) s_a, and ORs its bit
     into the mask of v, so a finished layer holds the mask of every
@@ -329,7 +368,7 @@ def _interval(rs):
     if rs._interval_cache is not None:
         return rs._interval_cache
     positives, forms = rs.positives, rs._root_forms
-    table = {rs.identity: (0, frozenset())}
+    table = {rs.identity: ThickDescriptor(rs.delta, rs.identity, frozenset(), 0)}
     masks = {rs.identity.matrix: 0}
     layer = [(rs.identity.matrix, rs.cox.matrix)]
     for _ in range(rs.rank):
@@ -353,7 +392,8 @@ def _interval(rs):
         for wt, _ in layer:
             mask = masks[wt] = found[wt][1]
             roots = frozenset(v for i, v in enumerate(positives) if mask >> i & 1)
-            table[GroupElement(wt)] = (mask, roots)
+            w = GroupElement(wt)
+            table[w] = ThickDescriptor(rs.delta, w, roots, mask)
     rs._interval_cache = table
     return table
 
@@ -373,10 +413,10 @@ def roots_below(rs, w):
     This is the root-set model of the subcategory attached to w: the
     dimension vectors of its indecomposables.
     """
-    entry = _interval(rs).get(w)
-    if entry is None:
+    desc = _interval(rs).get(w)
+    if desc is None:
         raise NotInInterval(f"element is not in the interval below cox({rs.delta})")
-    return entry[1]
+    return desc.roots
 
 
 # -- root maps as index permutations -----------------------------------

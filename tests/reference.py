@@ -133,7 +133,9 @@ def is_quiver_automorphism(delta, g, width=8):
 
 def thick_from_nc(rs, w):
     """A fresh descriptor of the interval element w."""
-    return ThickDescriptor(rs.delta, w, roots_below(rs, w))
+    roots = roots_below(rs, w)
+    mask = sum(1 << i for i, a in enumerate(rs.positives) if a in roots)
+    return ThickDescriptor(rs.delta, w, roots, mask)
 
 
 def is_invariant_vertex_set(labeling, desc, g):

@@ -99,14 +99,15 @@ def test_verify_small(capsys):
     assert "[FAIL]" not in out
 
 
-def test_verify_json_covers_series_e(capsys, monkeypatch):
-    monkeypatch.setenv("THICKET_MAX_RANK", "6")
-    code, out, _ = run(capsys, "verify", "--max-rank", "4", "--json")
-    assert code == 0
-    results, _ = json.JSONDecoder().raw_decode(out[out.index("[\n"):])
-    detail = {r["check"]: r["detail"] for r in results}["check_classification"]
-    assert "series E (E6)" in detail
-    assert "the triality (D4, r, 3) included" in detail and "oracle-only" not in detail
+def test_verify_json_covers_series_e(capsys):
+    # series E is checked up to max(--max-rank, 6): E6 by default, E7 from 7
+    for argv, e_types in [((), "E6"), (("--max-rank", "7"), "E6, E7")]:
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        assert code == 0
+        results, _ = json.JSONDecoder().raw_decode(out[out.index("[\n"):])
+        detail = {r["check"]: r["detail"] for r in results}["check_classification"]
+        assert detail.endswith(f"and for series E ({e_types})")
+        assert "the triality (D4, r, 3) included" in detail and "oracle-only" not in detail
 
 
 def test_verify_checks_the_b_model_counts(monkeypatch):
@@ -120,7 +121,7 @@ def test_verify_passes_with_assertions_stripped():
     # the invariants of root_coxeter are checked by code, not by assert;
     # rank 4 runs the triality cells and the twist's bijection check
     src = os.path.dirname(os.path.dirname(thicket.__file__))
-    env = dict(os.environ, PYTHONPATH=src, THICKET_MAX_RANK="6")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "thicket", "verify", "--max-rank", "4"],
         env=env, capture_output=True, text=True, timeout=300,
@@ -292,28 +293,25 @@ E7 = ("--series", "E", "--rank", "7", "--r", "1", "--t", "1")
     ("render", "strip", *E7, "--index", "0", "--out"),
     ("table", "--check", "--max-rank", "7"),
 ], ids=["classify", "count-check", "render-strip", "table-check"])
-def test_env_cap_blocks_large_e(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setenv("THICKET_MAX_RANK", "6")
+def test_enumerating_commands_accept_e7(tmp_path, capsys, argv):
+    # (E7, 1, 1) has the two trivial thick subcategories and no other
     out_flag = [str(tmp_path / "x")] if argv[-1] == "--out" else []
     code, out, err = run(capsys, *argv, *out_flag)
-    assert code == 2
-    assert "THICKET_MAX_RANK" in err
-    assert out == "" and list(tmp_path.iterdir()) == []
+    assert code == 0 and err == ""
+    if argv[0] == "classify":
+        sizes = sorted(len(json.loads(line)["roots"]) for line in out.splitlines())
+        assert sizes == [0, 63]
+    elif argv[0] == "count":
+        assert out == "2\n"
+    elif argv[0] == "render":
+        assert out == f"{tmp_path / 'x'}0.svg\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x0.svg", "x0.txt"]
+    else:
+        assert out.endswith("all table cells agree with enumeration up to rank 7\n")
 
 
-def test_plain_count_needs_no_cap(capsys, monkeypatch):
-    # the count is a closed formula, so only enumeration is capped
-    monkeypatch.setenv("THICKET_MAX_RANK", "6")
+def test_plain_count_needs_no_cap(capsys):
     code, out, _ = run(capsys, "count", *E7)
     assert code == 0 and out.strip() == "2"
     code, out, _ = run(capsys, "count", "--series", "E", "--rank", "8", "--r", "30", "--t", "1")
     assert code == 0 and out.strip() == "25080"
-
-
-def test_env_cap_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("THICKET_MAX_RANK", "abc")
-    code, _, err = run(
-        capsys, "classify", "--series", "E", "--rank", "6", "--r", "1", "--t", "1"
-    )
-    assert code == 1
-    assert "THICKET_MAX_RANK" in err

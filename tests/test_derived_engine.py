@@ -641,7 +641,7 @@ def test_a_root_system_built_by_hand_has_its_own_caches():
     shared = build_root_system(d)
     own = RootSystem(d)
     assert own is not shared
-    assert own._descriptor_cache is None and own._permutation_cache == {}
+    assert own._interval_cache is None and own._permutation_cache == {}
     assert own._fixed_cache == {}
     # s = 3 divides no h = 8, so no classification route builds this criterion
     crit = InvarianceCriterion("cox_conjugation", 3)
@@ -651,7 +651,7 @@ def test_a_root_system_built_by_hand_has_its_own_caches():
     expected = fixed_descriptors(shared, criterion_root_map(shared, crit))
     assert got == expected
     assert all(x is not y for x, y in zip(got, expected))
-    assert own._descriptor_cache is not shared._descriptor_cache
+    assert own._interval_cache is not shared._interval_cache
     assert own._fixed_cache and own._fixed_cache is not shared._fixed_cache
 
 

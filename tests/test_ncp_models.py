@@ -43,7 +43,13 @@ from thicket.ncp_models import (
     sigma,
 )
 from thicket import ncp_models
-from thicket.root_coxeter import BrokenInvariant, DynkinType, build_root_system, enumerate_nc
+from thicket.root_coxeter import (
+    BrokenInvariant,
+    DynkinType,
+    NotInInterval,
+    build_root_system,
+    enumerate_nc,
+)
 
 
 def catalan(n):
@@ -327,6 +333,20 @@ def test_d_partition_validation():
         DPartition(
             4, ((1, -1), (2, -2), (3,), (-3,), (4,), (-4,))
         )  # two zero blocks
+    # the bijections back to the group reject, as invalid input (exit 2),
+    # partitions they cannot read
+    a3, d4 = build_root_system(DynkinType("A", 3)), build_root_system(DynkinType("D", 4))
+    d5 = DPartition(5, tuple((x,) for x in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)))
+    no_centroid = DPartition(4, ((1, -1, 2, -2), (3,), (-3,), (4,), (-4,)))
+    interleaved = DPartition(4, ((-4, -2, 1, 3), (-3, -1, 2, 4)))
+    for bijection, rs, p, cls, message in [
+        (brady_g, a3, SetPartitionA(3, ((1,), (2,), (3,))), NotAPartition, "rank \\+ 1"),
+        (ar_bijection_g, d4, d5, NotAPartition, "match the rank"),
+        (ar_bijection_g, d4, no_centroid, NotInInterval, "centroid labels"),
+        (ar_bijection_g, d4, interleaved, NotInInterval, "unique arc"),
+    ]:
+        with pytest.raises(cls, match=message):
+            bijection(rs, p)
 
 
 def test_signed_partitions_share_one_body():

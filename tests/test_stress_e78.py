@@ -1,22 +1,23 @@
 """Stress tests for the two largest exceptional types.
 
-The E7 test runs by default, at every cell (E7, r, 1) with 1 <= r <= 36,
-in 0.8-0.9 s on a 2-core VM; the E8 test is opt-in, enabled with
-THICKET_MAX_RANK=8, and takes 6.5-6.8 s there, most of it the cold
-interval.  The two classification routes are checked against each
-other by root set, and their counts against the degree product of
-count_thick_formula.
+Both run by default.  The E7 test checks every cell (E7, r, 1) with
+1 <= r <= 36, in about 1 s on a 2-core VM; the E8 test checks every
+cell (E8, r, 1) with 1 <= r <= 60 and pins the digest of the E8 interval
+table, in about 7 s there, most of it the cold interval.  The two
+classification routes are checked against each other by root set, and
+their counts against the degree product of count_thick_formula.
 """
 
-import os
-
-import pytest
+import hashlib
+import json
 
 from thicket.classifier import CategoryType, count_thick_formula, enumerate_thick
 from thicket.derived_engine import brute_force_classify, build_label_walk
 from thicket.root_coxeter import DynkinType, build_root_system, enumerate_nc, roots_below
 
-CAP = int(os.environ.get("THICKET_MAX_RANK", "6"))
+# sha256 of the interval table of E8 in the format of INTERVAL_DIGESTS in
+# test_root_coxeter.py: each element's matrix and its sorted root set, in order
+E8_INTERVAL_DIGEST = "4514c10c56c527145efd48561982b78ff8571d737410541a5b058592d18d972c"
 
 
 def degree_count(h, degrees):
@@ -48,11 +49,16 @@ def test_e7_interval_and_classification():
         assert count_thick_formula(ct) == len(roots) == len(enum) == len(brute), str(ct)
 
 
-@pytest.mark.skipif(CAP < 8, reason="set THICKET_MAX_RANK=8 to enable")
 def test_e8_interval_and_classification():
     d = DynkinType("E", 8)
     rs = build_root_system(d)
-    assert len(enumerate_nc(rs)) == degree_count(30, (2, 8, 12, 14, 18, 20, 24, 30)) == 25080
+    elements = enumerate_nc(rs)
+    assert len(elements) == degree_count(30, (2, 8, 12, 14, 18, 20, 24, 30)) == 25080
+    doc = [
+        [[list(row) for row in w.matrix], sorted(list(v) for v in roots_below(rs, w))]
+        for w in elements
+    ]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == E8_INTERVAL_DIGEST
     for r in range(1, 61):
         ct = CategoryType(d, r, 1)
         enum = {x.nc.matrix for x in enumerate_thick(ct)}
