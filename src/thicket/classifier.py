@@ -3,7 +3,7 @@ gives, read off the degrees of W."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, prod
 
 from .derived_engine import InvalidType, brute_force_classify, fixed_by_cycles
@@ -61,6 +61,21 @@ class CategoryType:
         if (d.series, d.rank, t) not in admissible_types_for_rank(d.rank):
             raise InvalidType(f"({d}, r, {t}) is not an admissible type")
 
+    @cached_property
+    def criterion(self):
+        """The cell's criterion, worked out once per type: conjugation by
+        cox^s with s = gcd(h, r) for t = 1 and s = gcd(h, h // 2 + r) for
+        t = 2 and inf (h is odd for inf, so h // 2 = (h - 1)/2); s = r mod
+        h for even D with t = 2 and r mod 3 for the triality, whose twists
+        _twist holds."""
+        d, r, t = self.delta, self.r, self.t
+        h = d.coxeter_number
+        if t == 2 and d.series == "D" and d.rank % 2 == 0:
+            return InvarianceCriterion("sigma_rho_power", r % h)
+        if t == 3:
+            return InvarianceCriterion("d4_triality", r % 3)
+        return InvarianceCriterion("cox_conjugation", gcd(h, r if t == 1 else h // 2 + r))
+
     def to_json(self):
         return {
             "series": self.delta.series,
@@ -80,17 +95,8 @@ class InvarianceCriterion:
 
 
 def reduce_criterion(ct):
-    """The cell's criterion: conjugation by cox^s with s = gcd(h, r) for
-    t = 1 and s = gcd(h, h // 2 + r) for t = 2 and inf (h is odd for inf,
-    so h // 2 = (h - 1)/2); s = r mod h for even D with t = 2 and r mod 3
-    for the triality, whose twists _twist holds."""
-    d, r, t = ct.delta, ct.r, ct.t
-    h = d.coxeter_number
-    if t == 2 and d.series == "D" and d.rank % 2 == 0:
-        return InvarianceCriterion("sigma_rho_power", r % h)
-    if t == 3:
-        return InvarianceCriterion("d4_triality", r % 3)
-    return InvarianceCriterion("cox_conjugation", gcd(h, r if t == 1 else h // 2 + r))
+    """The cell's criterion, ct.criterion, computed once per CategoryType."""
+    return ct.criterion
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +171,7 @@ def enumerate_thick(ct):
     the interval elements whose root set the criterion's root map fixes,
     in interval order, at every admissible cell."""
     rs = build_root_system(ct.delta)
-    return fixed_by_cycles(rs, criterion_permutation(rs, reduce_criterion(ct))[1])
+    return fixed_by_cycles(rs, criterion_permutation(rs, ct.criterion)[1])
 
 
 def catalan(n):
@@ -211,7 +217,7 @@ def count_thick_formula(ct):
     tests/test_independent_oracle.py give these values; README's
     erratum lists the witnesses.
     """
-    crit = reduce_criterion(ct)
+    crit = ct.criterion
     h, k = ct.delta.coxeter_number, _twist(crit.mode, ct.delta.rank)[2] * crit.s
     invariants = _eigenvalues(crit.mode, ct.delta)
     fixed = [d for d, a, b in invariants if (k * d * b + a * h) % (h * b) == 0]
@@ -267,7 +273,7 @@ def classification_report(ct):
     "witnesses" holds one descriptor, tagged "kept_by", for every root
     set that only one side keeps.
     """
-    crit = reduce_criterion(ct)
+    crit = ct.criterion
     sides = {"enumerated": enumerate_thick(ct), "brute_force": brute_force_classify(ct)}
     roots = {side: {d.roots for d in descs} for side, descs in sides.items()}
     witnesses = [

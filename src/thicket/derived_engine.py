@@ -199,6 +199,7 @@ class Labeling:
         proj = mat_inverse(rs.euler_form)
         self.projectives = tuple(tuple(row) for row in proj)
         self._permutations = {}  # (perm, offsets mod h) -> vertex_map_permutation
+        self._generator_cycles = {}  # (t, r mod h) -> cycles of generator_map
         for row in self.projectives:
             _require(row in rs.positives, "projective seed is not a positive root")
         self._root_col = []
@@ -366,10 +367,16 @@ def brute_force_classify(ct):
     This is the oracle that every closed formula and interval-level
     criterion is checked against.  The root map is the generator's
     root_permutation off the labeling walk, as the index permutation
-    vertex_map_permutation caches.
+    vertex_map_permutation caches.  The generator is phi_map(delta, t)
+    with every offset raised by r, so mod tau^h it depends on (t, r mod
+    h) alone, and its cycle masks are kept on the labeling under that key.
     """
     labeling = build_label_walk(ct.delta)
-    _, cycles = vertex_map_permutation(labeling, generator_map(ct))
+    key = (ct.t, ct.r % labeling.h)
+    cycles = labeling._generator_cycles.get(key)
+    if cycles is None:
+        cycles = vertex_map_permutation(labeling, generator_map(ct))[1]
+        labeling._generator_cycles[key] = cycles
     return fixed_by_cycles(labeling.rs, cycles)
 
 

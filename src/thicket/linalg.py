@@ -30,12 +30,6 @@ def sub_outer(a, u, v):
     )
 
 
-def mat_sub(a, b):
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def kernel(m):
     """Basis of the null space of m over the rationals, as primitive
     integer vectors: one per free column, with a positive entry there.

@@ -2,38 +2,30 @@
 
 Group elements are exact integer matrices acting on the root lattice in
 the simple-root basis.  The interval below the Coxeter element and the
-root set of each of its elements come from one breadth-first search, so
-the full group is never materialized: the children of w are the products
-w t for the reflections t below x = w^-1 cox, and the root set of an
-element is the set of reflections that reach it from the layer below.
-The search ranks nothing.  By Carter's lemma l(x) = dim Mov(x), and by
-Brady-Watt (2002) s_a <= x iff a is orthogonal to Fix(x) = ker(x - 1),
-so one integer kernel of x - 1 per element of the lower half gives all
-its children at once; x is itself in the interval, so past the middle
-layer its root set is already in the table.  Root sets are bitmasks over
-rs.positives, with a frozenset view for callers, and reflections act by
-rank-one updates, so the search multiplies no matrices.  The table is
-keyed by the elements it hands out, and an element hashes its matrix
-once, so looking up a root set hashes no matrix.  Each entry is the
-element's ThickDescriptor, which the classification routes hand out as
-they are.  A root map is
-an index permutation of rs.positives, split into cycle masks; cox's is
-computed once per root system.
+root set of each of its elements come from one search down the lattice
+of perpendicular categories, so the full group is never materialized
+and nothing is ranked.  The elements of [id, cox] are the thick
+subcategories of D^b(kQ), which are the wide subcategories of mod kQ
+(Bruening 2007; Ingalls-Thomas 2009), and the root set of an element
+holds the dimension vectors of its indecomposables.  In a directed
+category Hom(X, M) = 0 = Ext^1(X, M) exactly when the Euler form
+<dim X, dim M> vanishes, so for a root a of w the root set of w s_a is
+that of w cut by the right perpendicular mask of a (Igusa-Schiffler
+2010).  Root sets are bitmasks over rs.positives, with a frozenset view
+for callers, and reflections act by rank-one updates, so the search
+multiplies no matrices.  The table is keyed by the elements it hands
+out, and an element hashes its matrix once, so looking up a root set
+hashes no matrix.  Each entry is the element's ThickDescriptor, which
+the classification routes hand out as they are.  A root map is an index
+permutation of rs.positives, split into cycle masks; cox's is computed
+once per root system.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import mul
 
-from .linalg import (
-    identity,
-    kernel,
-    mat_inverse,
-    mat_mul,
-    mat_sub,
-    mat_vec,
-    scaled_inverse,
-    sub_outer,
-)
+from .linalg import identity, mat_inverse, mat_mul, mat_vec, scaled_inverse, sub_outer
 
 
 class InvalidInput(ValueError):
@@ -294,17 +286,15 @@ def reflection(rs, v):
     return GroupElement(rs._reflection_matrix(v))
 
 
-def _reflections_below(rs, x):
-    """Bitmask over rs.positives of the roots a with s_a <= x.
-
-    For an orthogonal x, Mov(x) = im(x - 1) = Fix(x)^perp and l(x) =
-    dim Mov(x) (Carter's lemma), so s_a <= x iff a is orthogonal to
-    ker(x - 1) (Brady-Watt 2002): one mask per kernel vector, ANDed.
-    """
-    below = (1 << len(rs.positives)) - 1
-    for k in kernel(mat_sub(x, rs.identity.matrix)):
-        below &= sum(1 << i for i, d in enumerate(mat_vec(rs._root_forms, k)) if d == 0)
-    return below
+def perp_masks(rs):
+    """perp[i], the bitmask over rs.positives of the roots b with
+    <a_i, b> = a_i^T E b = 0: the dimension vectors of the indecomposables
+    in the right perpendicular category of the one of dimension a_i."""
+    euler_t = tuple(zip(*rs.euler_form))
+    return tuple(
+        sum(1 << j for j, b in enumerate(rs.positives) if not sum(map(mul, row, b)))
+        for row in (mat_vec(euler_t, a) for a in rs.positives)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,54 +335,57 @@ class ThickDescriptor:
         return doc
 
 
+def _indices(mask):
+    """The indices of the bits set in mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _interval(rs):
     """[id, cox] as an insertion-ordered dict from each element, a
     GroupElement, to its ThickDescriptor, ordered by reflection length,
     then matrix; built once per root system.
 
-    The descriptor's mask has bit i set when rs.positives[i] is in its
-    root set.  Each w is carried with x = w^-1 cox.  As l(wt) <= l(w) + 1
-    and l(wt) + l(t x) >= n, wt is one layer up exactly when l(t x) =
-    l(x) - 1, that is when t <= x.  So one integer kernel of x - 1 (_reflections_below)
-    gives every child and no candidate is rejected.  Each s_a <= v
-    reaches v from the layer below, as v = (v s_a) s_a, and ORs its bit
-    into the mask of v, so a finished layer holds the mask of every
-    reflection below each of its elements.  x is in the interval, with
-    l(x) = n - l(w), so from the middle layer on its mask is read from
-    the search's own matrix-keyed masks instead of a kernel.  With s_a =
-    1 - a (B a)^T the products are rank-one updates: w s_a = w - (w a)(B a)^T
-    for every edge, and s_a x = x - a ((B a)^T x) once per new child.
-    The table's keys are the elements enumerate_nc hands out, each of
-    which hashes its matrix once, so a lookup by one of them hashes nothing.
+    The elements of the interval are the thick subcategories of D^b(kQ),
+    which are the wide subcategories of mod kQ (Bruening 2007;
+    Ingalls-Thomas 2009), and the root set of w holds the dimension
+    vectors of the indecomposables of its subcategory.  In a directed
+    category Hom(X, M) = 0 = Ext^1(X, M) exactly when <dim X, dim M> = 0,
+    so the right perpendicular category of the indecomposable of
+    dimension a in the subcategory of w has the root set R(w) & perp[a]
+    (perp_masks), and it is the subcategory of w s_a (Igusa-Schiffler
+    2010).  So the search starts at (every root, cox) and runs down one
+    layer per step: the children of (R, w) are R & perp[i] for each bit i
+    of R.  A child not yet in its layer takes the matrix
+    w s_a = w - (w a)(B a)^T from the first parent that reaches it, one
+    rank-one update per element; its mask is its key, as distinct
+    elements have distinct root sets.  Every u <= cox is reached, down a reduced word of u^-1
+    cox, and after n steps the layer is the identity alone.  The layers
+    are emitted in reverse, each sorted by matrix.  The table's keys are
+    the elements enumerate_nc hands out, each of which hashes its matrix
+    once, so a lookup by one of them hashes nothing.
     """
     if rs._interval_cache is not None:
         return rs._interval_cache
-    positives, forms = rs.positives, rs._root_forms
-    table = {rs.identity: ThickDescriptor(rs.delta, rs.identity, frozenset(), 0)}
-    masks = {rs.identity.matrix: 0}
-    layer = [(rs.identity.matrix, rs.cox.matrix)]
+    positives, forms, perp = rs.positives, rs._root_forms, perp_masks(rs)
+    layers = [{(1 << len(positives)) - 1: rs.cox.matrix}]
     for _ in range(rs.rank):
-        found = {}  # wt -> [t x, mask of the roots reaching wt]
-        for w, x in layer:
-            below = masks.get(x)
-            if below is None:
-                below = _reflections_below(rs, x)
-            while below:
-                i = (below & -below).bit_length() - 1
-                below &= below - 1
-                a, b = positives[i], forms[i]
-                wt = sub_outer(w, mat_vec(w, a), b)
-                entry = found.get(wt)
-                if entry is None:
-                    tx = sub_outer(x, a, mat_vec(tuple(zip(*x)), b))
-                    found[wt] = [tx, 1 << i]
-                else:
-                    entry[1] |= 1 << i
-        layer = sorted((wt, tx) for wt, (tx, _) in found.items())
-        for wt, _ in layer:
-            mask = masks[wt] = found[wt][1]
-            roots = frozenset(v for i, v in enumerate(positives) if mask >> i & 1)
-            w = GroupElement(wt)
+        found = {}  # mask -> matrix
+        for mask, w in layers[-1].items():
+            for i in _indices(mask):
+                child = mask & perp[i]
+                if child not in found:
+                    found[child] = sub_outer(w, mat_vec(w, positives[i]), forms[i])
+        layers.append(found)
+    _require(layers[-1] == {0: rs.identity.matrix},
+             f"the perpendicular search of {rs.delta} does not end at the identity")
+    table = {}
+    for layer in reversed(layers):
+        for m, mask in sorted((m, mask) for mask, m in layer.items()):
+            w = GroupElement(m)
+            roots = frozenset(positives[i] for i in _indices(mask))
             table[w] = ThickDescriptor(rs.delta, w, roots, mask)
     rs._interval_cache = table
     return table

@@ -4,20 +4,27 @@ Each is the plain, slow form of something thicket computes another way:
 the rank and matrix powers by elimination and multiplication, the
 absolute order by length additivity, invariance by scanning a root set
 or a strip of vertices, the invariance filter on root sets with no memo,
-the noncrossing D test by the group side, and the A-model partitions as
-sorted block tuples: enumeration, rotation, the chord-crossing test and
-the face-group Kreweras complement.  Nothing in src/ calls them.
+the noncrossing D test by the group side, the interval [id, cox] by
+integer kernels, and the A-model partitions as sorted block tuples:
+enumeration, rotation, the chord-crossing test and the face-group
+Kreweras complement.  Nothing in src/ calls them.
 """
 
 from bisect import bisect_right
 
 from thicket.classifier import criterion_permutation
 from thicket.derived_engine import ThickDescriptor, fixed_by_cycles
-from thicket.linalg import identity, mat_inverse, mat_mul, mat_sub
+from thicket.linalg import identity, kernel, mat_inverse, mat_mul, mat_vec, sub_outer
 from thicket.ncp_models import SetPartitionA, ar_bijection_g, is_noncrossing_a, rho, sigma
 from thicket.ncp_models import _boundary_position
 from thicket.root_coxeter import GroupElement, NotInInterval, arrows, cycle_masks
 from thicket.root_coxeter import enumerate_nc, index_permutation, roots_below
+
+
+def mat_sub(a, b):
+    return tuple(
+        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
 
 
 def mat_pow(a, k):
@@ -90,6 +97,58 @@ def leq_absolute(rs, u, w):
         return False
     uw = GroupElement(mat_mul(mat_inverse(u.matrix), w.matrix))
     return lu + absolute_length(rs, uw) == lw
+
+
+def reflections_below(rs, x):
+    """Bitmask over rs.positives of the roots a with s_a <= x.
+
+    For an orthogonal x, Mov(x) = im(x - 1) = Fix(x)^perp and l(x) =
+    dim Mov(x) (Carter's lemma), so s_a <= x iff a is orthogonal to
+    ker(x - 1) (Brady-Watt 2002): one mask per kernel vector, ANDed.
+    """
+    below = (1 << len(rs.positives)) - 1
+    for k in kernel(mat_sub(x, rs.identity.matrix)):
+        below &= sum(1 << i for i, d in enumerate(mat_vec(rs._root_forms, k)) if d == 0)
+    return below
+
+
+def kernel_interval(rs):
+    """[id, cox] as a list of (matrix, root mask), ordered by reflection
+    length, then matrix, built up from the identity by integer kernels.
+
+    Each w is carried with x = w^-1 cox.  As l(wt) <= l(w) + 1 and l(wt)
+    + l(t x) >= n, wt is one layer up exactly when t <= x, so the kernel
+    of x - 1 (reflections_below) gives every child.  Each s_a <= v
+    reaches v from the layer below, as v = (v s_a) s_a, and ORs its bit
+    into the mask of v.  x is in the interval, with l(x) = n - l(w), so
+    from the middle layer on its mask is read from the masks found so far.
+    """
+    positives, forms = rs.positives, rs._root_forms
+    out = [(rs.identity.matrix, 0)]
+    masks = {rs.identity.matrix: 0}
+    layer = [(rs.identity.matrix, rs.cox.matrix)]
+    for _ in range(rs.rank):
+        found = {}  # wt -> [t x, mask of the roots reaching wt]
+        for w, x in layer:
+            below = masks.get(x)
+            if below is None:
+                below = reflections_below(rs, x)
+            for i in range(len(positives)):
+                if not below >> i & 1:
+                    continue
+                a, b = positives[i], forms[i]
+                wt = sub_outer(w, mat_vec(w, a), b)
+                entry = found.get(wt)
+                if entry is None:
+                    tx = sub_outer(x, a, mat_vec(tuple(zip(*x)), b))
+                    found[wt] = [tx, 1 << i]
+                else:
+                    entry[1] |= 1 << i
+        layer = sorted((wt, tx) for wt, (tx, _) in found.items())
+        for wt, _ in layer:
+            masks[wt] = found[wt][1]
+            out.append((wt, masks[wt]))
+    return out
 
 
 def criterion_root_map(rs, crit):

@@ -100,13 +100,13 @@ def test_verify_small(capsys):
 
 
 def test_verify_json_covers_series_e(capsys):
-    # series E is checked up to max(--max-rank, 6): E6 by default, E7 from 7
-    for argv, e_types in [((), "E6"), (("--max-rank", "7"), "E6, E7")]:
+    # series E is checked in full whatever --max-rank is
+    for argv in [(), ("--max-rank", "7")]:
         code, out, _ = run(capsys, "verify", *argv, "--json")
         assert code == 0
         results, _ = json.JSONDecoder().raw_decode(out[out.index("[\n"):])
         detail = {r["check"]: r["detail"] for r in results}["check_classification"]
-        assert detail.endswith(f"and for series E ({e_types})")
+        assert detail.endswith("and for series E (E6, E7, E8)")
         assert "the triality (D4, r, 3) included" in detail and "oracle-only" not in detail
 
 

@@ -5,7 +5,15 @@ from math import comb, factorial, gcd, prod
 
 import pytest
 
-from reference import absolute_length, leq_absolute, mat_order, rank
+from reference import (
+    absolute_length,
+    kernel_interval,
+    leq_absolute,
+    mat_order,
+    mat_sub,
+    rank,
+    reflections_below,
+)
 from thicket import root_coxeter
 from thicket.classifier import CategoryType, count_thick_formula
 from thicket.linalg import (
@@ -13,7 +21,6 @@ from thicket.linalg import (
     kernel,
     mat_inverse,
     mat_mul,
-    mat_sub,
     mat_vec,
     scaled_inverse,
     sub_outer,
@@ -396,20 +403,53 @@ def test_in_nc_matches_the_absolute_order_on_the_whole_group(spec):
 
 @pytest.mark.parametrize("spec", [("A", 4), ("D", 4), ("D", 5)])
 def test_kernel_mask_matches_the_absolute_order(spec):
-    # the Carter / Brady-Watt test behind the search, against the
-    # length-additivity definition, for every x = w^-1 cox of the interval
+    # the Carter / Brady-Watt test behind the reference builder, against
+    # the length-additivity definition, for every x = w^-1 cox of the interval
     rs = build_root_system(DynkinType(*spec))
     refls = [reflection(rs, v) for v in rs.positives]
     for w in enumerate_nc(rs):
         x = w.inverse() * rs.cox
-        below = root_coxeter._reflections_below(rs, x.matrix)
+        below = reflections_below(rs, x.matrix)
         for i, t in enumerate(refls):
             assert bool(below >> i & 1) == leq_absolute(rs, t, x)
 
 
+RANK_7_TYPES = (
+    [("A", n) for n in range(1, 8)] + [("D", n) for n in range(4, 8)] + [("E", 6), ("E", 7)]
+)
+
+
+@pytest.mark.parametrize("spec", RANK_7_TYPES)
+def test_perpendicular_search_matches_the_kernel_search(spec):
+    # keys, order and masks of the table against the kernel builder
+    rs = build_root_system(DynkinType(*spec))
+    table = root_coxeter._interval(rs)
+    assert [(w.matrix, d.mask) for w, d in table.items()] == kernel_interval(rs)
+    for d in table.values():
+        assert d.roots == {a for i, a in enumerate(rs.positives) if d.mask >> i & 1}
+
+
+@pytest.mark.parametrize("spec", [("A", 5), ("D", 5), ("E", 6)])
+def test_root_set_of_w_s_a_is_the_right_perpendicular_cut(spec):
+    # R(w s_a) = R(w) & perp[a] with perp[a] = {b : a^T E b = 0}, for every
+    # w of the interval and every root a of w
+    rs = build_root_system(DynkinType(*spec))
+    e, n = rs.euler_form, rs.rank
+    perp = [
+        sum(1 << j for j, b in enumerate(rs.positives)
+            if not sum(a[p] * e[p][q] * b[q] for p in range(n) for q in range(n)))
+        for a in rs.positives
+    ]
+    table = root_coxeter._interval(rs)
+    for w, d in table.items():
+        for i, a in enumerate(rs.positives):
+            if d.mask >> i & 1:
+                assert table[w * reflection(rs, a)].mask == d.mask & perp[i]
+
+
 # sha256 of the JSON of [matrix, sorted root set] over the table, in order,
 # as the rank-per-candidate search built it (E7: as the kernel search with
-# matrix products built it); the rank-one kernel search must agree
+# matrix products built it); the perpendicular search must agree
 INTERVAL_DIGESTS = {
     ("A", 5): "6faeb918c620dd4f4962f6c96471361b9ead024d5724e21ddc646086cdd8fbf2",
     ("D", 6): "b7c9d1134c648231ae86bcff491f60d41d6b737e715f6d43cf74a9771ad732e2",

@@ -1,9 +1,9 @@
 """Stress tests for the two largest exceptional types.
 
 Both run by default.  The E7 test checks every cell (E7, r, 1) with
-1 <= r <= 36, in about 1 s on a 2-core VM; the E8 test checks every
+1 <= r <= 36, in about 0.2 s on a 2-core VM; the E8 test checks every
 cell (E8, r, 1) with 1 <= r <= 60 and pins the digest of the E8 interval
-table, in about 7 s there, most of it the cold interval.  The two
+table, in about 3 s there, a third of it the cold interval.  The two
 classification routes are checked against each other by root set, and
 their counts against the degree product of count_thick_formula.
 """
