@@ -1,12 +1,22 @@
 """Category types, their invariance criteria and the count each criterion
-gives, read off the degrees of W."""
+gives, read off the degrees of W.  A criterion is a twist from
+derived_engine's table of admissible (Delta, t) and a cox power s; the
+root map is built from the twist's matrix and rs.cox_permutation, the
+count from its eigenvalues."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import comb, gcd, prod
+from functools import cached_property
+from math import comb, prod
 
-from .derived_engine import InvalidType, brute_force_classify, fixed_by_cycles
+from .derived_engine import (
+    InvalidType,
+    Twist,
+    automorphisms,
+    brute_force_classify,
+    fixed_by_cycles,
+    phi_map,
+)
 from .linalg import mat_mul, mat_vec
 from .root_coxeter import (
     DynkinType,
@@ -57,24 +67,15 @@ class CategoryType:
         object.__setattr__(self, "t", normalize_torsion(self.t))
         if type(self.r) is not int or self.r < 1:
             raise InvalidType(f"r must be a positive integer, got {self.r!r}")
-        d, t = self.delta, self.t
-        if (d.series, d.rank, t) not in admissible_types_for_rank(d.rank):
-            raise InvalidType(f"({d}, r, {t}) is not an admissible type")
+        phi_map(self.delta, self.t)  # InvalidType unless (delta, t) is admissible
 
     @cached_property
     def criterion(self):
-        """The cell's criterion, worked out once per type: conjugation by
-        cox^s with s = gcd(h, r) for t = 1 and s = gcd(h, h // 2 + r) for
-        t = 2 and inf (h is odd for inf, so h // 2 = (h - 1)/2); s = r mod
-        h for even D with t = 2 and r mod 3 for the triality, whose twists
-        _twist holds."""
-        d, r, t = self.delta, self.r, self.t
-        h = d.coxeter_number
-        if t == 2 and d.series == "D" and d.rank % 2 == 0:
-            return InvarianceCriterion("sigma_rho_power", r % h)
-        if t == 3:
-            return InvarianceCriterion("d4_triality", r % 3)
-        return InvarianceCriterion("cox_conjugation", gcd(h, r if t == 1 else h // 2 + r))
+        """The cell's criterion, worked out once per type from its row of
+        the table: its twist, and s = twist.reduce(offset + r, modulus)."""
+        row = automorphisms(self.delta)[self.t]
+        twist = row.twist
+        return InvarianceCriterion(twist, twist.reduce(row.offset + self.r, twist.modulus))
 
     def to_json(self):
         return {
@@ -90,8 +91,14 @@ class CategoryType:
 
 @dataclass(frozen=True)
 class InvarianceCriterion:
-    mode: str
+    """Conjugation by L = T cox^(sign s), with T and the sign from twist."""
+
+    twist: Twist
     s: int
+
+    @property
+    def mode(self):
+        return self.twist.name
 
 
 def reduce_criterion(ct):
@@ -99,37 +106,16 @@ def reduce_criterion(ct):
     return ct.criterion
 
 
-@lru_cache(maxsize=None)
-def _twist(mode, n):
-    """The twist T of the criterion mode in rank n, which commutes with cox:
-    (simple-root permutation, reflection word that T applies first, sign
-    of the cox power, T's eigenvalues exp(2 pi i a/b) on the basic
-    invariants it moves as (degree, a, b)).
-
-    The criterion is conjugation by L = T cox^(sign s).  The permutation
-    p sends e_q to e_p[q]; the word (i, j) is s_i s_j.
-    """
-    ident = tuple(range(1, n + 1))
-    if mode == "cox_conjugation":
-        return ident, (), 1, ()
-    if mode == "sigma_rho_power":
-        return ident[: n - 2] + (n, n - 1), (), 1, ((n, 1, 2),)
-    if mode == "d4_triality":
-        return (3, 2, 4, 1), (1, 4), -1, ((4, 1, 3), (4, 2, 3))
-    raise InvalidType(f"unknown criterion mode {mode!r}")
-
-
-def _twist_permutation(rs, mode):
+def _twist_permutation(rs, twist):
     """T's root map alpha -> ±T alpha as an index permutation of
-    rs.positives, built once per root system and mode."""
-    cached = rs._permutation_cache.get(mode)
+    rs.positives, built once per root system and twist."""
+    cached = rs._permutation_cache.get(twist)
     if cached is None:
-        perm, word, _, _ = _twist(mode, rs.rank)
-        t = tuple(tuple(int(p == i + 1) for p in perm) for i in range(rs.rank))
-        for i in word:
+        t = tuple(tuple(int(p == i + 1) for p in twist.perm) for i in range(rs.rank))
+        for i in twist.word:
             t = mat_mul(t, rs.simple_reflection(i).matrix)
         images = {a: rs.normalize_root(mat_vec(t, a))[0] for a in rs.positives}
-        cached = rs._permutation_cache[mode] = index_permutation(rs, images)
+        cached = rs._permutation_cache[twist] = index_permutation(rs, images)
     return cached
 
 
@@ -139,29 +125,16 @@ def criterion_permutation(rs, crit):
     and criterion.
 
     Conjugation by L sends the root set of w to that of L w L^-1, and L =
-    T cox^(sign s) with T and the sign from _twist.  cox_conjugation has
-    T = 1.  sigma_rho_power has T = P, the swap of the simple roots n-1
-    and n: cox conjugation acts on the D model as sigma.rho
-    (coxeter_conjugation_is_sigma_rho) and the arm swap as sigma
-    (phi_fixes_sigma_on_nc), so sigma^(s+1) rho^s is conjugation by
-    P cox^s.  d4_triality has T = P_3 s_1 s_4 and the power -s: the
-    rotation phi_map(D4, 3) permutes the simple roots as P_3, and s_1 s_4
-    is the reflection-functor word at the two arms whose arrows it
-    reverses, so the generator phi.tau^-r acts on roots as T cox^-r (and
-    cox^3 = -1).  cox^h = 1, so the power is taken mod h by composing
-    index permutations, then T's permutation; only T is built as a
-    matrix, once per root system and mode.
+    T cox^(sign s) with T and the sign from crit.twist (the table in
+    derived_engine.automorphisms says why).  cox^h = 1, so the power is
+    taken mod h by composing T's index permutation with cox's; only T is
+    built as a matrix, once per root system and twist.
     """
     cached = rs._permutation_cache.get(crit)
     if cached is None:
-        sign = _twist(crit.mode, rs.rank)[2]
-        cox = rs.cox_permutation
-        perm = tuple(range(len(cox)))
-        for _ in range(sign * crit.s % rs.delta.coxeter_number):
-            perm = tuple(cox[i] for i in perm)
-        if crit.mode != "cox_conjugation":
-            twist = _twist_permutation(rs, crit.mode)
-            perm = tuple(twist[i] for i in perm)
+        perm = _twist_permutation(rs, crit.twist)
+        for _ in range(crit.twist.sign * crit.s % rs.delta.coxeter_number):
+            perm = tuple(perm[i] for i in rs.cox_permutation)
         cached = rs._permutation_cache[crit] = (perm, cycle_masks(perm))
     return cached
 
@@ -179,48 +152,29 @@ def catalan(n):
 
 
 def catalan_d(n):
-    """|NC(D_n)|.  Nothing in src/ calls it; it stays because
-    perfbench/workloads.py imports it, and goes with that import."""
+    """|NC(D_n)|, the size of the interval of D_n."""
     return comb(2 * n, n) - comb(2 * n - 2, n - 1)
-
-
-@lru_cache(maxsize=None)
-def _eigenvalues(mode, delta):
-    """T's eigenvalue exp(2 pi i a/b) on every basic invariant of W, as
-    (degree, a, b), with a/b = 0 on those _twist does not list; built once
-    per mode and type, so that counting a cell allocates almost nothing."""
-    moved = _twist(mode, delta.rank)[3]
-    rest = list(delta.degrees)
-    for d, _, _ in moved:
-        rest.remove(d)
-    return tuple((d, 0, 1) for d in rest) + moved
 
 
 def count_thick_formula(ct):
     """Exact count from the criterion and the degrees of W alone.
 
-    Conjugation by L = T cox^k, k = sign s (_twist), fixes prod over the
-    basic invariants fixed by L of (h + d) / d interval elements, d the
-    degree.  L multiplies the invariant of degree d by zeta^(k d) times
-    T's eigenvalue exp(2 pi i a/b) on it (a/b = 0 unless _twist lists
-    it), zeta = exp(2 pi i/h), so the invariant is fixed when k d/h + a/b
-    is an integer.  With T = 1 this is Bessis-Reiner's cyclic sieving of
+    Conjugation by L = T cox^k, k = sign s, fixes prod over the basic
+    invariants fixed by L of (h + d) / d interval elements, d the degree.
+    L multiplies the invariant of degree d by zeta^(k d) times T's
+    eigenvalue exp(2 pi i a/b) on it (the twist's invariants), zeta =
+    exp(2 pi i/h), so the invariant is fixed when k d/h + a/b is an
+    integer.  With T = 1 this is Bessis-Reiner's cyclic sieving of
     NC(W) (2011); the twisted product has the shape of Springer's regular
     elements in a coset W psi (1974), and is checked here against
     enumeration, not cited.
 
-    These values correct two printed in the overview table.  The
-    half-turn D cells (s = n-1 for odd n, s in {0, n-1} for even n with
-    the arm swap) have binomial(2n-2, n-1) thick subcategories, not
-    Cat(D_{n-1}), and (D_4, r, 3) with 3 not dividing r has five, not
-    two.  Both enumeration routes and the Weyl-group oracle of
-    tests/test_independent_oracle.py give these values; README's
-    erratum lists the witnesses.
+    These values correct two printed in the overview table; README's
+    erratum lists the cells, their witnesses and the evidence.
     """
     crit = ct.criterion
-    h, k = ct.delta.coxeter_number, _twist(crit.mode, ct.delta.rank)[2] * crit.s
-    invariants = _eigenvalues(crit.mode, ct.delta)
-    fixed = [d for d, a, b in invariants if (k * d * b + a * h) % (h * b) == 0]
+    h, k = ct.delta.coxeter_number, crit.twist.sign * crit.s
+    fixed = [d for d, a, b in crit.twist.invariants if (k * d * b + a * h) % (h * b) == 0]
     return prod(h + d for d in fixed) // prod(fixed)
 
 
@@ -248,21 +202,14 @@ def algebra_type_to_category_type(delta, frequency, t):
         raise NotAsashibaType(f"frequency must be a number, got {frequency!r}") from None
     if f <= 0:
         raise NotAsashibaType("frequency must be positive")
-    d = delta
-    n = d.rank
-    if (d.series, t) == ("A", 1):
-        divisible = n
-    elif (d.series, t) == ("D", 1) and n % 3 == 0:
-        divisible = 3
-    else:
-        divisible = 1
-    admissible = t != "inf" and (d.series, n, t) in admissible_types_for_rank(n)
-    if not admissible or divisible % f.denominator:
-        raise NotAsashibaType(f"({d}, {f}, {t}) is not an algebra type")
-    r = f * (d.coxeter_number - 1)
+    n = delta.rank
+    divisible = {("A", 1): n, ("D", 1): 3 if n % 3 == 0 else 1}.get((delta.series, t), 1)
+    if t == "inf" or t not in automorphisms(delta) or divisible % f.denominator:
+        raise NotAsashibaType(f"({delta}, {f}, {t}) is not an algebra type")
+    r = f * (delta.coxeter_number - 1)
     if r.denominator != 1 or r < 1:
         raise NotAsashibaType(f"frequency {f} gives non-integral exponent {r}")
-    return CategoryType(d, int(r), t)
+    return CategoryType(delta, int(r), t)
 
 
 def classification_report(ct):
@@ -373,18 +320,13 @@ def overview_markdown():
 
 
 def admissible_types_for_rank(n):
-    out = [("A", n, 1)]
-    if n % 2 == 1 and n >= 3:
-        out.append(("A", n, 2))
-    if n % 2 == 0:
-        out.append(("A", n, "inf"))
-    if n >= 4:
-        out.append(("D", n, 1))
-        out.append(("D", n, 2))
-    if n == 4:
-        out.append(("D", 4, 3))
-    if n in (6, 7, 8):
-        out.append(("E", n, 1))
-    if n == 6:
-        out.append(("E", 6, 2))
+    """(series, n, t) for the Dynkin types of rank n, series A, D, E in
+    turn, and each admissible t in the order of their table."""
+    out = []
+    for series in "ADE":
+        try:
+            delta = DynkinType(series, n)
+        except InvalidType:
+            continue
+        out += [(series, n, t) for t in automorphisms(delta)]
     return out

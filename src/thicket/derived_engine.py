@@ -5,9 +5,11 @@ automorphism used here is a column permutation combined with per-column
 m-offsets, so composition, powers and inverses stay exact and hashable.
 One constructor, vertex_map, builds them all: one walk over the Dynkin
 tree fixes the relative offsets, and the power identity g^order = tau^k
-fixes the remaining constant.  phi_map has (order, k) = (t, 0), or
-(2, 1) for t = inf; the suspension is the Nakayama permutation with
-(2, -h).
+fixes the remaining constant.  One table, automorphisms(Delta), holds
+each admissible (Delta, t): phi's column permutation and (order, k),
+(t, 0) or (2, 1) for t = inf, and the criterion's offset and twist.
+The admissible types, phi_map, the suspension (the Nakayama
+permutation with (2, -h)) and the classifier's criteria all read it.
 
 The labeling walk attaches (positive root, shift) to each vertex.  The
 translation tau is (m, q) -> (m - 1, q).  Walking in the +m direction
@@ -15,15 +17,13 @@ applies cox^-1 to roots and bumps the shift when the sign flips; over h
 steps every column returns to its root with the shift increased by 2.
 Consequently the shift-raising suspension map squares to m -> m + h,
 the h-th power of the inverse translation.  That orientation of the
-identity is pinned here once, in suspension_vertex_map.  Roots repeat
-with period h, so the root map of a vertex map depends on it only mod
-tau^h: vertex_map_permutation walks once per vertex map mod tau^h, and
-the invariance filter fixed_by_cycles keeps one result per root system
-and tuple of cycle masks.
+identity is pinned here once, in suspension_vertex_map.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import mod
 
 from .linalg import mat_inverse, mat_vec
 from .root_coxeter import (
@@ -133,50 +133,107 @@ def vertex_map(delta, perm, order, k):
     return g
 
 
-def _diagram_flip(delta):
-    """The order-2 graph automorphism of Delta (the identity when it has none)."""
-    n = delta.rank
-    if delta.series == "A":
-        return tuple(range(n, 0, -1))
-    if delta.series == "D":
-        return tuple(range(1, n - 1)) + (n, n - 1)
-    return (6, 5, 3, 4, 2, 1) if n == 6 else tuple(range(1, n + 1))
+@dataclass(frozen=True, eq=False)
+class Twist:
+    """The twist T of a criterion, conjugation by L = T cox^(sign s) with
+    s = reduce(offset + r, modulus), reduce gcd or mod.  T applies its
+    word first ((i, j) is s_i s_j), then sends e_q to e_perm[q]; it
+    multiplies the invariant of degree d by exp(2 pi i a/b) for each (d,
+    a, b) of invariants.  Hashed by identity, as a cache key."""
+
+    name: str
+    perm: tuple
+    word: tuple
+    sign: int
+    reduce: object
+    modulus: int
+    invariants: tuple
+
+
+@dataclass(frozen=True)
+class Automorphism:
+    """One admissible (Delta, t): phi's column permutation perm with
+    phi^order = tau^k, the offset the criterion adds to r, and its twist."""
+
+    perm: tuple
+    order: int
+    k: int
+    offset: int
+    twist: Twist
 
 
 @lru_cache(maxsize=None)
-def phi_map(delta, t):
-    """The order-t vertex map of ZDelta used in the automorphism group.
+def automorphisms(delta):
+    """The table of delta: {t: Automorphism} for each admissible t, in order.
 
     t = 1 is the identity; t = 2 the diagram flip (central line for A
     odd, arm swap for D, the column flip for E6); t = 3 the D4 rotation
     of the three outer arms; t = "inf" the A-even flip whose square is
     one step of the translation.
+
+    Where phi's columns follow the Nakayama permutation (A, odd D, E6),
+    phi is the suspension times a power of tau, and the suspension fixes
+    every root, so phi.tau^-r and cox^(h // 2 + r) generate one group of
+    root maps: the criterion is untwisted, with offset h // 2.  The even-D
+    arm swap twists by P, the swap of the simple roots n-1 and n: cox
+    conjugation acts on the D model as sigma.rho
+    (coxeter_conjugation_is_sigma_rho) and the arm swap as sigma
+    (phi_fixes_sigma_on_nc), so sigma^(s+1) rho^s is conjugation by P
+    cox^s.  The triality twists by P_3 s_1 s_4 with the power -s: the
+    rotation permutes the simple roots as P_3, and s_1 s_4 is the
+    reflection-functor word at the two arms whose arrows it reverses, so
+    phi.tau^-r acts on roots as T cox^-r, and cox^3 = -1.
     """
-    n = delta.rank
+    n, h = delta.rank, delta.coxeter_number
+
+    def twist(name, perm, word, sign, reduce, modulus, *moved):
+        rest = list(delta.degrees)
+        for d, _, _ in moved:
+            rest.remove(d)
+        invariants = tuple((d, 0, 1) for d in rest) + moved
+        return Twist(name, perm, word, sign, reduce, modulus, invariants)
+
     ident = tuple(range(1, n + 1))
-    flip = _diagram_flip(delta)
-    a_even = delta.series == "A" and n % 2 == 0
-    table = {
-        1: (ident, 1, 0),
-        2: (flip, 2, 0) if flip != ident and not a_even else None,
-        3: ((3, 2, 4, 1), 3, 0) if delta == DynkinType("D", 4) else None,
-        "inf": (flip, 2, 1) if a_even else None,
-    }
-    if table.get(t) is None:
-        raise InvalidType(f"no automorphism of order {t!r} for {delta}")
-    return vertex_map(delta, *table[t])
+    plain = twist("cox_conjugation", ident, (), 1, gcd, h)
+    table = {1: Automorphism(ident, 1, 0, 0, plain)}
+    if delta.series == "A" and n % 2 == 0:
+        table["inf"] = Automorphism(ident[::-1], 2, 1, h // 2, plain)
+    elif delta.series == "A" and n > 1:
+        table[2] = Automorphism(ident[::-1], 2, 0, h // 2, plain)
+    elif delta.series == "D":
+        swap = ident[: n - 2] + (n, n - 1)
+        table[2] = (Automorphism(swap, 2, 0, h // 2, plain) if n % 2 else Automorphism(
+            swap, 2, 0, 0, twist("sigma_rho_power", swap, (), 1, mod, h, (n, 1, 2))))
+    if delta == DynkinType("D", 4):
+        rot = (3, 2, 4, 1)
+        triality = twist("d4_triality", rot, (1, 4), -1, mod, 3, (4, 1, 3), (4, 2, 3))
+        table[3] = Automorphism(rot, 3, 0, 0, triality)
+    if delta == DynkinType("E", 6):
+        table[2] = Automorphism((6, 5, 3, 4, 2, 1), 2, 0, h // 2, plain)
+    return table
+
+
+@lru_cache(maxsize=None)
+def phi_map(delta, t):
+    """The order-t vertex map of ZDelta used in the automorphism group,
+    built from its row of the table; InvalidType unless (delta, t) is
+    admissible."""
+    row = automorphisms(delta).get(t)
+    if row is None:
+        raise InvalidType(f"({delta}, r, {t}) is not an admissible type")
+    return vertex_map(delta, row.perm, row.order, row.k)
 
 
 @lru_cache(maxsize=None)
 def suspension_vertex_map(delta):
     """Vertex map of the shift functor: fixes roots, raises shift by 1.
 
-    Its columns follow the Nakayama permutation (the diagram flip for A,
-    odd D and E6, the identity otherwise) and S^2 = tau^-h.
+    Its columns follow the Nakayama permutation, which is phi's at the t
+    the table offsets by h // 2 (A, odd D and E6) and the identity
+    otherwise, and S^2 = tau^-h.
     """
-    series, n = delta.series, delta.rank
-    flips = series == "A" or (series == "D" and n % 2) or delta == DynkinType("E", 6)
-    perm = _diagram_flip(delta) if flips else tuple(range(1, n + 1))
+    perm = next((row.perm for row in automorphisms(delta).values() if row.offset),
+                tuple(range(1, delta.rank + 1)))
     return vertex_map(delta, perm, 2, -delta.coxeter_number)
 
 
@@ -349,7 +406,7 @@ def generator_map(ct):
     The translation power is taken in the walk direction (m -> m + r);
     for pure powers and the involutions this generates the same group
     either way, and for the infinite-order case it is the orientation
-    under which the classification matches reduce_criterion's offset.
+    under which the classification matches the criterion's offset.
     """
     return _after_tau(phi_map(ct.delta, ct.t), ct.r)
 

@@ -207,7 +207,6 @@ class RootSystem:
         return sub_outer(identity(self.rank), v, mat_vec(self.sym_form, v))
 
     def _close_roots(self):
-        n = self.rank
         refls = [self._reflection_matrix(s) for s in self.simples]
         roots = set(self.simples)
         frontier = set(self.simples)

@@ -8,7 +8,6 @@ from reference import criterion_root_map, is_invariant_nc
 from thicket import classifier
 from thicket.classifier import (
     CategoryType,
-    InvarianceCriterion,
     NotAsashibaType,
     admissible_types_for_rank,
     algebra_type_to_category_type,
@@ -98,7 +97,25 @@ def test_reduce_criterion_cases():
         (ct("A", 3, 2, 2), ("cox_conjugation", 4)),
         (ct("E", 6, 5, 2), ("cox_conjugation", 1)),
     ]:
-        assert reduce_criterion(cell) == InvarianceCriterion(*crit), str(cell)
+        got = reduce_criterion(cell)
+        assert (got.mode, got.s) == crit, str(cell)
+
+
+def test_admissible_types_and_criteria_are_pinned():
+    # the admissible types of rank <= 12, and (criterion, s) and the count
+    # at each of their cells with r <= 4h, as digests of their listing
+    types = [admissible_types_for_rank(n) for n in range(1, 13)]
+    digest = hashlib.sha256(repr(types).encode()).hexdigest()
+    assert digest == "2adfc5ed454dcaeaa0471d123953be7ce65692438e1ac6e1a42a12cf538418b2"
+    lines = []
+    for series, rank, t in (cell for row in types for cell in row):
+        d = DynkinType(series, rank)
+        for r in range(1, 4 * d.coxeter_number + 1):
+            c = CategoryType(d, r, t)
+            lines.append(f"{c} {c.criterion.mode} {c.criterion.s} {count_thick_formula(c)}")
+    assert len(lines) == 2032
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "2b0277bfde4e5a05adf4ee71ef0ee66e99bd11a29fdc137df57b6ed212826c2f"
 
 
 def test_is_invariant_nc_basics():

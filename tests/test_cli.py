@@ -8,6 +8,7 @@ import pytest
 import thicket
 from thicket import classifier, cli
 from thicket.cli import main
+from thicket.ncp_models import VerificationReport
 
 
 def run(capsys, *argv):
@@ -115,6 +116,32 @@ def test_verify_checks_the_b_model_counts(monkeypatch):
     assert ok and "B-model counts match binom(2k, k) up to n=6" in detail
     monkeypatch.setattr(cli, "enumerate_nc_b", lambda k: [None] * k)
     assert not cli._check_partition_counts(3)[0]
+
+
+def test_verify_checks_every_interval_size(monkeypatch):
+    # every verified type has an expected size, A1, A7 and D8 included
+    assert cli._check_interval_counts(8) == (True, "interval sizes match the type counts")
+    full = cli.enumerate_nc
+    short = {"A1", "A7", "D8"}
+    monkeypatch.setattr(cli, "enumerate_nc", lambda rs: full(rs)[1:] if str(rs.delta) in short else full(rs))
+    ok, detail = cli._check_interval_counts(8)
+    assert not ok
+    assert detail == ("interval sizes match the type counts "
+                      "(A1: 1 != 2; A7: 1429 != 1430; D8: 9437 != 9438)")
+
+
+def test_verify_runs_the_cluster_check_on_series_e(monkeypatch):
+    seen = []
+
+    def record(delta, power=1):
+        seen.append((str(delta), power))
+        return VerificationReport("recorded", 2, ())
+
+    monkeypatch.setattr(cli, "cluster_category_check", record)
+    ok, detail = cli._check_cluster(4)
+    assert ok and detail == "shift-translate orbits admit only the two trivial invariant sets"
+    assert {(f"E{n}", p) for n in (6, 7, 8) for p in (1, 2)} <= set(seen)
+    assert [d for d, _ in seen[::2]] == [str(d) for d in cli._verified_types(4)]
 
 
 def test_verify_passes_with_assertions_stripped():

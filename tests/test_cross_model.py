@@ -7,7 +7,6 @@ import pytest
 from reference import is_in_nc_d, is_invariant_nc, sigma_rho_power
 from thicket.classifier import (
     CategoryType,
-    InvarianceCriterion,
     admissible_types_for_rank,
     count_thick_formula,
     enumerate_thick,
@@ -109,7 +108,9 @@ def test_even_d_criterion_is_the_partition_statement(n):
     rs = build_root_system(d)
     parts = [(w, ar_bijection_f(rs, w)) for w in enumerate_nc(rs)]
     for s in range(d.coxeter_number):
-        crit = InvarianceCriterion("sigma_rho_power", s)
+        # s = r mod h, so r = s + h gives every s, 0 included
+        crit = CategoryType(d, s + d.coxeter_number, 2).criterion
+        assert (crit.mode, crit.s) == ("sigma_rho_power", s)
         for w, p in parts:
             assert is_invariant_nc(rs, w, crit) == (sigma_rho_power(p, s) == p), (s, p)
 

@@ -28,6 +28,7 @@ from thicket.derived_engine import (
     MixedRoots,
     QuiverAutomorphism,
     _after_tau,
+    automorphisms,
     brute_force_classify,
     build_label_walk,
     cluster_category_check,
@@ -122,6 +123,29 @@ def test_phi_map_rejects_bad_orders():
         phi_map(DynkinType("D", 5), 3)
     with pytest.raises(InvalidType):
         phi_map(DynkinType("E", 7), 2)
+
+
+def test_one_table_decides_admissibility_phi_and_the_nakayama_flip():
+    # the (Delta, t) phi_map accepts are the admissible types, in order,
+    # and at t = 2 and inf the criterion is untwisted exactly where phi's
+    # columns follow the suspension's
+    ranks = {"A": range(1, 13), "D": range(4, 13), "E": (6, 7, 8)}
+    for n in range(1, 13):
+        accepted = []
+        for d in [DynkinType(series, n) for series in "ADE" if n in ranks[series]]:
+            for t in (1, 2, 3, "inf"):
+                try:
+                    phi_map(d, t)
+                except InvalidType as exc:
+                    assert str(exc) == f"({d}, r, {t}) is not an admissible type"
+                    continue
+                accepted.append((d.series, n, t))
+        assert accepted == admissible_types_for_rank(n)
+        for series, _, t in accepted:
+            d = DynkinType(series, n)
+            if t in (2, "inf"):
+                untwisted = CategoryType(d, 1, t).criterion.mode == "cox_conjugation"
+                assert untwisted == (phi_map(d, t).perm == suspension_vertex_map(d).perm), (d, t)
 
 
 def test_vertex_map_refuses_an_impossible_column_map():
@@ -241,7 +265,6 @@ def test_label_layers_biject_with_positive_roots(spec):
 
 def test_label_walk_example_a2():
     lab = build_label_walk(DynkinType("A", 2))
-    rs = build_root_system(DynkinType("A", 2))
     # projectives on the seed slice at shift 0
     assert lab.label(1, 1) == ((1, 1), 0)
     assert lab.label(0, 2) == ((0, 1), 0)
@@ -644,7 +667,7 @@ def test_a_root_system_built_by_hand_has_its_own_caches():
     assert own._interval_cache is None and own._permutation_cache == {}
     assert own._fixed_cache == {}
     # s = 3 divides no h = 8, so no classification route builds this criterion
-    crit = InvarianceCriterion("cox_conjugation", 3)
+    crit = InvarianceCriterion(automorphisms(d)[1].twist, 3)
     got = fixed_descriptors(own, criterion_root_map(own, crit))
     assert crit in own._permutation_cache
     assert crit not in shared._permutation_cache
