@@ -5,9 +5,10 @@ the rank and matrix powers by elimination and multiplication, the
 absolute order by length additivity, invariance by scanning a root set
 or a strip of vertices, the invariance filter on root sets with no memo,
 the noncrossing D test by the group side, the interval [id, cox] by
-integer kernels, and the A-model partitions as sorted block tuples:
+integer kernels, the A-model partitions as sorted block tuples:
 enumeration, rotation, the chord-crossing test and the face-group
-Kreweras complement.  Nothing in src/ calls them.
+Kreweras complement, and the relabelling of a label sequence by a dict
+of first occurrences.  Nothing in src/ calls them.
 """
 
 from bisect import bisect_right
@@ -265,6 +266,13 @@ def sigma_rho_power(p, s):
 
 
 # -- the A model on block tuples ----------------------------------------
+
+
+def relabel_by_dict(seq):
+    """Each entry replaced by the 1-based position of its first occurrence,
+    read from a dict built right to left, so the first occurrence wins."""
+    first = dict(zip(reversed(seq), range(len(seq), 0, -1)))
+    return tuple(map(first.__getitem__, seq))
 
 
 def canonical_blocks(blocks):

@@ -13,6 +13,7 @@ from reference import (
     kreweras_blocks,
     kreweras_inverse_blocks,
     nc_blocks,
+    relabel_by_dict,
     rotate_blocks,
     rotation_period_blocks,
     sigma_rho_power,
@@ -125,6 +126,12 @@ def test_rotation_period_divides_n():
         assert 6 % rotation_period_a(p) == 0
 
 
+def test_rotation_period_of_the_empty_partition_is_one():
+    (p,) = enumerate_nc_a(0)
+    assert rotate_a(p, 1) == p
+    assert rotation_period_a(p) == 1
+
+
 # -- Brady bijection ---------------------------------------------------------
 
 
@@ -235,6 +242,12 @@ def test_project_basics():
         project_f(SetPartitionA(6, ((1, 2), (3,), (4,), (5,), (6,))), 2)
 
 
+@pytest.mark.parametrize("s", [0, -2, -3, True, 2.0, 6, 4])
+def test_project_rejects_bad_divisors(s):
+    with pytest.raises(BadDivisor, match=f"^{s} is not a proper divisor of 6$"):
+        project_f(SetPartitionA(6, (tuple(range(1, 7)),)), s)
+
+
 def test_projection_commutes_with_alpha():
     h, s = 6, 2
     for p in enumerate_nc_a(h):
@@ -271,9 +284,10 @@ def test_fibers_partition_the_invariant_set(s, x):
     assert len(invariant) == (s + 1) * catalan(s) == comb(2 * s, s)
 
 
-def test_fiber_rejects_trivial_multiplier():
-    with pytest.raises(BadDivisor):
-        construct_fiber(SetPartitionA(2, ((1,), (2,))), 1)
+@pytest.mark.parametrize("x", [1, 0, -2, True, 2.5, 2.0, "2"])
+def test_fiber_rejects_bad_multipliers(x):
+    with pytest.raises(BadDivisor, match="^fiber construction needs x > 1$"):
+        construct_fiber(SetPartitionA(2, ((1,), (2,))), x)
 
 
 def test_fiber_checks_survive_python_o(monkeypatch):
@@ -522,6 +536,27 @@ def test_enumeration_order_and_periods_match_the_block_form(n):
     assert [rotation_period_a(p) for p in ps] == [rotation_period_blocks(n, b) for b in ref]
 
 
+# sha256 of repr([p.lab for p in enumerate_nc_a(n)]) and of repr of their
+# rotation periods, recorded before the relabelling moved to index scans;
+# the block-form comparison above stops at n = 10
+NC_A_DIGESTS = {
+    11: ("3bbfd2b6c124c4fedc4f8835825145a1e433c28bce703fdd211f6463cb83c8c5",
+         "6dd5c94fca935a7189bf731512ed8f7efed9c4bbe37955c3e8eb482fb5a8217f"),
+    12: ("4f16a7d2a5528a5eb76485f969201baaa2a827d1c63786a925c04e57f9ab31f9",
+         "56ccde5846ea174278a06398b3fc26fb79fd2e7ba6682bfc7327582090cec880"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(NC_A_DIGESTS))
+def test_enumeration_order_and_periods_keep_their_digests(n):
+    ps = enumerate_nc_a(n)
+    labels = [p.lab for p in ps]
+    periods = [rotation_period_a(p) for p in ps]
+    assert len(ps) == catalan(n)
+    digests = tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (labels, periods))
+    assert digests == NC_A_DIGESTS[n]
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_kreweras_pair_matches_the_face_groups(n):
     for p in enumerate_nc_a(n):
@@ -577,6 +612,14 @@ def test_labels_and_blocks_round_trip(p):
 def test_kreweras_complement_and_its_inverse_cancel(p):
     assert kreweras_alpha_inverse(kreweras_alpha(p)) == p
     assert kreweras_alpha(kreweras_alpha_inverse(p)) == p
+
+
+@PROPERTY
+@given(st.lists(st.integers(-4, 45), max_size=40), st.booleans())
+def test_relabel_matches_the_dict_form(seq, as_tuple):
+    # zero, negative, repeated and non-canonical entries, as a list or a tuple
+    seq = tuple(seq) if as_tuple else seq
+    assert ncp_models._relabel(seq) == relabel_by_dict(seq)
 
 
 @PROPERTY
