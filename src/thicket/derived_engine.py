@@ -460,9 +460,16 @@ def phi_fixes_sigma_on_nc(rs):
     )
 
 
+@lru_cache(maxsize=None)
 def cluster_category_check(delta, power=1):
     """Orbit construction by shift-then-translate admits no proper
-    invariant vertex sets; returns the verification report."""
+    invariant vertex sets; returns the verification report.
+
+    The report depends on the type and power alone, so it is made once
+    per type and power and shared: it is frozen and its failures are a
+    tuple.  Only callers that ask the same (delta, power) again gain,
+    such as a sweep over many cells of one type; `verify` asks each once.
+    """
     from .ncp_models import VerificationReport
 
     rs = build_root_system(delta)

@@ -7,12 +7,17 @@ vertices of a descriptor.
 """
 
 from .derived_engine import build_label_walk
+from .ncp_models import DPartition, SetPartitionA
 from .root_coxeter import InvalidInput, arrows
 
 import math
 
 
 class WindowTooLarge(InvalidInput):
+    pass
+
+
+class WrongModel(InvalidInput):
     pass
 
 
@@ -62,12 +67,16 @@ def _chord_elements(points, members, fill):
 def render_circle(p, kind=None, radius=80.0):
     """SVG chord diagram of a circular partition.
 
-    The A model draws n boundary points; the signed models draw the
-    2n-2 boundary labels with the centroid labelled by the last pair
-    and a +/- sign on the block owning it.
+    The A model draws n boundary points; the D model draws the 2n-2
+    boundary labels with the centroid labelled by the last pair and a
+    +/- sign on the block owning it.  Model "A" takes a SetPartitionA
+    and model "D" a DPartition; anything else raises WrongModel.
     """
     if kind is None:
-        kind = "A" if type(p).__name__ == "SetPartitionA" else "D"
+        kind = "A" if isinstance(p, SetPartitionA) else "D"
+    if not (kind == "A" and isinstance(p, SetPartitionA)
+            or kind == "D" and isinstance(p, DPartition)):
+        raise WrongModel(f"cannot draw a {type(p).__name__} as model {kind!r}")
     margin = 30.0
     cx = cy = radius + margin
     size = 2 * (radius + margin)

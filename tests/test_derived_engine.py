@@ -493,6 +493,52 @@ def test_cluster_orbits_have_no_proper_invariants(spec, power):
     assert report.total == 2
 
 
+def test_cluster_report_is_made_once_per_type_and_power():
+    d = DynkinType("D", 5)
+    report = cluster_category_check(d, 2)
+    assert cluster_category_check(d, 2) is report
+    assert cluster_category_check(DynkinType("D", 5), 2) is report
+    assert cluster_category_check(d, 1) is not report
+    assert isinstance(report.failures, tuple)
+
+
+@pytest.mark.parametrize("spec", ALL_SMALL)
+@pytest.mark.parametrize("power", [1, 2])
+def test_memoized_cluster_report_equals_a_fresh_one(spec, power):
+    d = DynkinType(*spec)
+    report = cluster_category_check(d, power)
+    fresh = cluster_category_check.__wrapped__(d, power)
+    assert fresh is not report
+    assert fresh == report
+
+
+@pytest.fixture
+def empty_cluster_memo():
+    cluster_category_check.cache_clear()
+    yield
+    # drop the reports made under a patched filter
+    cluster_category_check.cache_clear()
+
+
+def test_cluster_memo_does_not_hide_a_fault_present_before_the_first_call(
+    monkeypatch, empty_cluster_memo
+):
+    d = DynkinType("A", 4)
+    rs = build_root_system(d)
+    real = derived_engine.fixed_by_cycles
+    # no cycles: every element of the interval is kept
+    proper = next(x for x in real(rs, ()) if 0 < len(x.roots) < len(rs.positives))
+
+    def keeps_a_proper_set(rs, cycles):
+        return real(rs, cycles) + [proper]
+
+    monkeypatch.setattr(derived_engine, "fixed_by_cycles", keeps_a_proper_set)
+    report = cluster_category_check(d, 1)
+    assert not report.passed
+    assert report.failures == (proper.nc,) and report.total == 3
+    assert cluster_category_check(d, 1) is report
+
+
 def test_descriptor_json():
     rs = build_root_system(DynkinType("A", 2))
     ct = CategoryType(DynkinType("A", 2), 1, 1)

@@ -4,14 +4,15 @@ import re
 import pytest
 
 from thicket.classifier import CategoryType, enumerate_thick
-from thicket.ncp_models import DPartition, SetPartitionA, rotate_a
+from thicket.ncp_models import BPartition, DPartition, SetPartitionA, rotate_a
 from thicket.render import (
     WindowTooLarge,
+    WrongModel,
     ascii_ar_strip,
     render_ar_strip,
     render_circle,
 )
-from thicket.root_coxeter import DynkinType
+from thicket.root_coxeter import DynkinType, InvalidInput
 
 
 def _circles(svg):
@@ -106,6 +107,34 @@ def test_d_model_rendering():
     q = DPartition(4, ((1, 4), (-1, -4), (2,), (-2,), (3,), (-3,)))
     svg = render_circle(q, kind="D")
     assert ">+<" in svg and ">-<" in svg
+
+
+A4 = SetPartitionA(4, ((1, 4), (2, 3)))
+B4 = BPartition(4, ((1, 4), (-1, -4), (2,), (-2,), (3,), (-3,)))
+D4 = DPartition(4, ((1, 4), (-1, -4), (2,), (-2,), (3,), (-3,)))
+
+
+@pytest.mark.parametrize("p, kind", [(A4, "A"), (D4, "D")])
+def test_render_circle_infers_the_model_of_its_partition(p, kind):
+    assert render_circle(p) == render_circle(p, kind=kind)
+
+
+@pytest.mark.parametrize("p, kind", [
+    (B4, None),
+    (B4, "D"),
+    (B4, "A"),
+    (A4, "D"),
+    (D4, "A"),
+    (A4, "X"),
+    (D4, "X"),
+    (D4, "d"),
+])
+def test_render_circle_rejects_a_model_it_does_not_draw(p, kind):
+    # B has no centroid model here, and a kind must name the partition's model
+    with pytest.raises(WrongModel) as err:
+        render_circle(p, kind=kind)
+    assert isinstance(err.value, InvalidInput)
+    assert type(p).__name__ in str(err.value)
 
 
 def test_strip_rendering_marks():
