@@ -5,7 +5,6 @@ root map is built from the twist's matrix and rs.cox_permutation, the
 count from its eigenvalues."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
 
@@ -191,6 +190,8 @@ def algebra_type_to_category_type(delta, frequency, t):
     must divide n for (A_n, 1), 3 for (D_n, 1) with 3 | n, and 1 otherwise.
     The translation exponent f * (h - 1) must be a positive integer.
     """
+    from fractions import Fraction  # imported here: its only user, and costly
+
     if not isinstance(delta, DynkinType):
         raise InvalidType(f"delta must be a DynkinType, got {delta!r}")
     t = normalize_torsion(t)

@@ -27,6 +27,7 @@ from operator import mod
 
 from .linalg import mat_inverse, mat_vec
 from .root_coxeter import (
+    BrokenInvariant,
     DynkinType,
     InvalidType,
     ThickDescriptor,  # re-exported: the value type of the classification routes
@@ -117,8 +118,9 @@ def vertex_map(delta, perm, order, k):
 
     def rise(a, b):
         pa, pb = perm[a - 1], perm[b - 1]
-        _require((pa, pb) in arr or (pb, pa) in arr,
-                 f"column map {perm} is not a graph automorphism of {delta}")
+        # the messages spell out all of perm: format them only on failure
+        if (pa, pb) not in arr and (pb, pa) not in arr:
+            raise BrokenInvariant(f"column map {perm} is not a graph automorphism of {delta}")
         return int((pb, pa) in arr)
 
     rel = _tree_offsets(delta, rise)
@@ -128,8 +130,9 @@ def vertex_map(delta, perm, order, k):
         q = perm[q - 1]
     shift = (-k - total) // order
     g = QuiverAutomorphism(delta.rank, tuple(perm), tuple(o + shift for o in rel))
-    _require(g.power(order) == tau_power(delta.rank, k),
-             f"column map {perm} admits no offsets with g^{order} = tau^{k} on {delta}")
+    if g.power(order) != tau_power(delta.rank, k):
+        raise BrokenInvariant(
+            f"column map {perm} admits no offsets with g^{order} = tau^{k} on {delta}")
     return g
 
 

@@ -12,13 +12,15 @@ category Hom(X, M) = 0 = Ext^1(X, M) exactly when the Euler form
 <dim X, dim M> vanishes, so for a root a of w the root set of w s_a is
 that of w cut by the right perpendicular mask of a (Igusa-Schiffler
 2010).  Root sets are bitmasks over rs.positives, with a frozenset view
-for callers, and reflections act by rank-one updates, so the search
-multiplies no matrices.  The table is keyed by the elements it hands
-out, and an element hashes its matrix once, so looking up a root set
-hashes no matrix.  Each entry is the element's ThickDescriptor, which
-the classification routes hand out as they are.  A root map is an index
-permutation of rs.positives, split into cycle masks; cox's is computed
-once per root system.
+for callers.  A row of w s_a = w - (w a)(B a)^T depends only on that row
+of w and on a, so one build computes each (row, root) pair once and the
+search multiplies no matrices; the positive roots are walked up from the
+simples one coordinate at a time.  The table is keyed by the elements it
+hands out, and an element hashes its matrix when it is made, so looking
+up a root set hashes no matrix.  Each entry is the element's
+ThickDescriptor, which the classification routes hand out as they are.
+A root map is an index permutation of rs.positives, split into cycle
+masks; cox's is computed once per root system.
 """
 
 from dataclasses import dataclass, field
@@ -123,13 +125,15 @@ def arrows(delta):
 class GroupElement:
     matrix: tuple
 
-    @cached_property
-    def _hash(self):
-        return hash(self.matrix)
+    def __post_init__(self):
+        # the interval table is keyed by elements, and an n x n tuple of
+        # tuples is hashed afresh on every lookup; hash it once, here.  It
+        # stays in the instance dict, not a slot: a slot saves one dict per
+        # element but moves a gen-1 collection into every classify_sweep
+        # timed phase (CHANGES.md, ROADMAP item 2)
+        self.__dict__["_hash"] = hash(self.matrix)
 
     def __hash__(self):
-        # the interval table is keyed by elements, and an n x n tuple of
-        # tuples is hashed afresh on every lookup; hash it once
         return self._hash
 
     def __mul__(self, other):
@@ -207,19 +211,27 @@ class RootSystem:
         return sub_outer(identity(self.rank), v, mat_vec(self.sym_form, v))
 
     def _close_roots(self):
-        refls = [self._reflection_matrix(s) for s in self.simples]
+        """The positive roots, sorted, walked up from the simples.
+
+        s_i v = v - (B v)_i a_i changes coordinate i alone, and it raises
+        the height of v exactly when (B v)_i < 0.  Every positive root that
+        is not simple is s_i v for such a step from a lower positive root,
+        so the walk meets no negative root and multiplies no matrix.
+        """
         roots = set(self.simples)
-        frontier = set(self.simples)
+        frontier = self.simples
         while frontier:
-            new = set()
+            new = []
             for v in frontier:
-                for m in refls:
-                    w = mat_vec(m, v)
-                    if w not in roots and tuple(-x for x in w) not in roots:
-                        new.add(w)
-            roots |= new
+                for i, row in enumerate(self.sym_form):
+                    c = sum(map(mul, row, v))
+                    if c < 0:
+                        w = v[:i] + (v[i] - c,) + v[i + 1:]
+                        if w not in roots:
+                            roots.add(w)
+                            new.append(w)
             frontier = new
-        positives = sorted(v for v in roots if all(x >= 0 for x in v))
+        positives = sorted(roots)
         # |Phi+| is the sum of the exponents d - 1
         expected = sum(d - 1 for d in self.delta.degrees)
         _require(
@@ -342,10 +354,30 @@ def _indices(mask):
         mask ^= low
 
 
+def _reflected_row(memo, row, a, form):
+    """The row of w s_a = w - (w a)(B a)^T that a row of w gives, with
+    form = B a, stored in memo; a row with row . a = 0 is its own image."""
+    c = sum(map(mul, row, a))
+    out = memo[row] = tuple([x - c * y for x, y in zip(row, form)]) if c else row
+    return out
+
+
 def _interval(rs):
     """[id, cox] as an insertion-ordered dict from each element, a
     GroupElement, to its ThickDescriptor, ordered by reflection length,
-    then matrix; built once per root system.
+    then matrix; built once per root system by _build_interval.
+
+    Every lookup by element calls this, so it stays apart from the build:
+    the build's comprehension closes over its locals, and a function with
+    closure cells makes them anew on every call, cache hits included.
+    """
+    if rs._interval_cache is None:
+        rs._interval_cache = _build_interval(rs)
+    return rs._interval_cache
+
+
+def _build_interval(rs):
+    """The table of _interval, built by one search.
 
     The elements of the interval are the thick subcategories of D^b(kQ),
     which are the wide subcategories of mod kQ (Bruening 2007;
@@ -358,17 +390,19 @@ def _interval(rs):
     2010).  So the search starts at (every root, cox) and runs down one
     layer per step: the children of (R, w) are R & perp[i] for each bit i
     of R.  A child not yet in its layer takes the matrix
-    w s_a = w - (w a)(B a)^T from the first parent that reaches it, one
-    rank-one update per element; its mask is its key, as distinct
-    elements have distinct root sets.  Every u <= cox is reached, down a reduced word of u^-1
-    cox, and after n steps the layer is the identity alone.  The layers
-    are emitted in reverse, each sorted by matrix.  The table's keys are
-    the elements enumerate_nc hands out, each of which hashes its matrix
-    once, so a lookup by one of them hashes nothing.
+    w s_a = w - (w a)(B a)^T from the first parent that reaches it; its
+    mask is its key, as distinct elements have distinct root sets.  A row
+    of w s_a depends only on that row of w and on a, and the same rows
+    recur across the interval, so a memo per root, kept for this build
+    alone, computes each (row, a) pair once (a row with row . a = 0 is
+    its own image).  Every u <= cox is reached, down a reduced word of
+    u^-1 cox, and after n steps the layer is the identity alone.  The
+    layers are emitted in reverse, each sorted by matrix.  The table's
+    keys are the elements enumerate_nc hands out, each of which hashed
+    its matrix when it was made, so a lookup by one of them hashes nothing.
     """
-    if rs._interval_cache is not None:
-        return rs._interval_cache
     positives, forms, perp = rs.positives, rs._root_forms, perp_masks(rs)
+    memos = [{} for _ in positives]  # memos[i]: a row of w -> that row of w s_(a_i)
     layers = [{(1 << len(positives)) - 1: rs.cox.matrix}]
     for _ in range(rs.rank):
         found = {}  # mask -> matrix
@@ -376,17 +410,19 @@ def _interval(rs):
             for i in _indices(mask):
                 child = mask & perp[i]
                 if child not in found:
-                    found[child] = sub_outer(w, mat_vec(w, positives[i]), forms[i])
+                    memo, a, form = memos[i], positives[i], forms[i]
+                    found[child] = tuple(
+                        [memo.get(row) or _reflected_row(memo, row, a, form) for row in w]
+                    )
         layers.append(found)
     _require(layers[-1] == {0: rs.identity.matrix},
              f"the perpendicular search of {rs.delta} does not end at the identity")
     table = {}
     for layer in reversed(layers):
-        for m, mask in sorted((m, mask) for mask, m in layer.items()):
-            w = GroupElement(m)
+        for mask in sorted(layer, key=layer.__getitem__):
+            w = GroupElement(layer[mask])
             roots = frozenset(positives[i] for i in _indices(mask))
             table[w] = ThickDescriptor(rs.delta, w, roots, mask)
-    rs._interval_cache = table
     return table
 
 

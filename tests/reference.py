@@ -7,8 +7,9 @@ or a strip of vertices, the invariance filter on root sets with no memo,
 the noncrossing D test by the group side, the interval [id, cox] by
 integer kernels, the A-model partitions as sorted block tuples:
 enumeration, rotation, the chord-crossing test and the face-group
-Kreweras complement, and the relabelling of a label sequence by a dict
-of first occurrences.  Nothing in src/ calls them.
+Kreweras complement, the relabelling of a label sequence by a dict of
+first occurrences, and the positive roots by closing the simples under
+reflection matrices.  Nothing in src/ calls them.
 """
 
 from bisect import bisect_right
@@ -111,6 +112,26 @@ def reflections_below(rs, x):
     for k in kernel(mat_sub(x, rs.identity.matrix)):
         below &= sum(1 << i for i, d in enumerate(mat_vec(rs._root_forms, k)) if d == 0)
     return below
+
+
+def matrix_closure(rs):
+    """The positive roots, sorted: the closure of the simples under the
+    simple reflection matrices 1 - a (B a)^T, in both signs, with the
+    negative ones dropped at the end."""
+    n = rs.rank
+    refls = [sub_outer(identity(n), s, mat_vec(rs.sym_form, s)) for s in rs.simples]
+    roots = set(rs.simples)
+    frontier = set(rs.simples)
+    while frontier:
+        new = set()
+        for v in frontier:
+            for m in refls:
+                w = mat_vec(m, v)
+                if w not in roots and tuple(-x for x in w) not in roots:
+                    new.add(w)
+        roots |= new
+        frontier = new
+    return tuple(sorted(v for v in roots if all(x >= 0 for x in v)))
 
 
 def kernel_interval(rs):

@@ -159,6 +159,36 @@ def test_vertex_map_refuses_an_impossible_column_map():
     assert not issubclass(BrokenInvariant, ValueError)
 
 
+class CountingPerm(tuple):
+    """A column map that counts how often it is formatted."""
+
+    formatted = 0
+
+    def __repr__(self):
+        CountingPerm.formatted += 1
+        return super().__repr__()
+
+
+def test_vertex_map_formats_its_message_only_on_failure(monkeypatch):
+    # the message spells out all of perm, so formatting it on every arrow
+    # made vertex_map quadratic in the rank
+    monkeypatch.setattr(CountingPerm, "formatted", 0)
+    for n in (3, 50):
+        d = DynkinType("A", n)
+        g = vertex_map(d, CountingPerm(range(1, n + 1)), 1, -1)
+        assert g == QuiverAutomorphism(n, tuple(range(1, n + 1)), (1,) * n)
+        flip = CountingPerm(range(n, 0, -1))
+        assert vertex_map(d, flip, 2, -(n + 1)) == suspension_vertex_map(d)
+    assert CountingPerm.formatted == 0
+    for perm, order, k, match in [
+        ((2, 1, 3), 2, 0, "column map \\(2, 1, 3\\) is not a graph automorphism of A3"),
+        ((1, 2, 3), 2, 1, "column map \\(1, 2, 3\\) admits no offsets with g\\^2 = tau\\^1 on A3"),
+    ]:
+        with pytest.raises(BrokenInvariant, match=match):
+            vertex_map(DynkinType("A", 3), CountingPerm(perm), order, k)
+    assert CountingPerm.formatted == 2
+
+
 # (perm, offset) of every vertex map and the slice offsets of the labeling;
 # an order missing from PINNED_MAPS has no map for that type
 PINNED_MAPS = {

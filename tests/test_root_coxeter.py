@@ -11,6 +11,7 @@ from reference import (
     leq_absolute,
     mat_order,
     mat_sub,
+    matrix_closure,
     rank,
     reflections_below,
 )
@@ -103,6 +104,17 @@ def test_degrees_against_group_orders():
 def test_positive_root_counts(series, rank_, count):
     rs = build_root_system(DynkinType(series, rank_))
     assert len(rs.positives) == count
+
+
+@pytest.mark.parametrize("spec", (
+    [("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 13)]
+    + [("E", 6), ("E", 7), ("E", 8)]
+))
+def test_positive_roots_are_the_matrix_closure(spec):
+    # the upward walk of one-coordinate steps against the closure under
+    # reflection matrices, in both signs, root for root and in order
+    rs = build_root_system(DynkinType(*spec))
+    assert rs.positives == matrix_closure(rs)
 
 
 def test_positive_roots_have_norm_two_and_nonnegative_coordinates():
@@ -427,6 +439,17 @@ def test_perpendicular_search_matches_the_kernel_search(spec):
     assert [(w.matrix, d.mask) for w, d in table.items()] == kernel_interval(rs)
     for d in table.values():
         assert d.roots == {a for i, a in enumerate(rs.positives) if d.mask >> i & 1}
+
+
+def test_each_interval_build_starts_from_an_empty_row_memo():
+    # A6, D6 and E6 share their rank, so their matrices have rows of one
+    # length; rows memoized by one build and read by the next would give
+    # the second type matrices of the first type's reflections
+    for first, second in [(("D", 6), ("E", 6)), (("E", 6), ("A", 6)), (("A", 6), ("D", 6))]:
+        root_coxeter._interval(RootSystem(DynkinType(*first)))
+        rs = RootSystem(DynkinType(*second))
+        table = root_coxeter._interval(rs)
+        assert [(w.matrix, d.mask) for w, d in table.items()] == kernel_interval(rs)
 
 
 @pytest.mark.parametrize("spec", [("A", 5), ("D", 5), ("E", 6)])
