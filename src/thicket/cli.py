@@ -8,7 +8,7 @@ import argparse
 import json
 import re
 import sys
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from . import classifier, derived_engine, ncp_models, render
 from .classifier import (
@@ -30,9 +30,9 @@ from .ncp_models import (
     SetPartitionA,
     ar_bijection_f,
     construct_fiber,
-    coxeter_conjugation_is_sigma_rho,
     enumerate_nc_a,
     enumerate_nc_b,
+    interval_report,
     rotate_a,
     rotation_period_a,
 )
@@ -94,6 +94,13 @@ def _mismatch_lines(ct, report):
     for w in report["witnesses"]:
         lines.append(f"kept only by {w['kept_by']}: element {w['nc']['matrix']} roots {w['roots']}")
     return lines
+
+
+def _disagreements(cells):
+    """The _mismatch_lines of each cell whose classification report
+    disagrees, in cell order."""
+    reports = ((ct, classification_report(ct)) for ct in cells)
+    return [_mismatch_lines(ct, report) for ct, report in reports if not report["agree"]]
 
 
 def _category_type(args):
@@ -173,16 +180,13 @@ def cmd_count(args):
 
 
 def cmd_enumerate(args):
-    if args.model == "A":
-        for p in enumerate_nc_a(args.n):
-            print(json.dumps(p.to_json()))
-    elif args.model == "B":
-        for p in enumerate_nc_b(args.n):
-            print(json.dumps(p.to_json()))
-    else:
+    if args.model == "D":
         rs = build_root_system(DynkinType("D", args.n))
-        for w in enumerate_nc(rs):
-            print(json.dumps(ar_bijection_f(rs, w).to_json()))
+        partitions = (ar_bijection_f(rs, w) for w in enumerate_nc(rs))
+    else:
+        partitions = {"A": enumerate_nc_a, "B": enumerate_nc_b}[args.model](args.n)
+    for p in partitions:
+        print(json.dumps(p.to_json()))
     return 0
 
 
@@ -195,12 +199,8 @@ def cmd_classify(args):
 
 def cmd_render(args):
     if args.what == "circle":
-        if args.model == "A":
-            p = SetPartitionA(args.n, args.blocks)
-            svg = render.render_circle(p, kind="A")
-        else:
-            p = DPartition(args.n, args.blocks)
-            svg = render.render_circle(p, kind="D")
+        partition = {"A": SetPartitionA, "D": DPartition}[args.model](args.n, args.blocks)
+        svg = render.render_circle(partition, kind=args.model)
         with open(args.out, "w") as fh:
             fh.write(svg)
         print(args.out)
@@ -213,9 +213,8 @@ def cmd_render(args):
             f"--index {args.index} is out of range: {ct} has {len(descs)} "
             f"thick subcategories, indexed 0 to {len(descs) - 1}"
         )
-    chosen = descs if args.index is None else [descs[args.index]]
-    for i, desc in enumerate(chosen):
-        idx = args.index if args.index is not None else i
+    for idx in range(len(descs)) if args.index is None else [args.index]:
+        desc = descs[idx]
         svg = render.render_ar_strip(desc, window, domain_width=ct.r)
         txt = render.ascii_ar_strip(desc, window)
         with open(f"{args.out}{idx}.svg", "w") as fh:
@@ -240,13 +239,9 @@ def cmd_table(args):
         print(overview_markdown(), end="")
     if not args.check:
         return 0
-    bad = []
-    for ct in cells:
-        report = classification_report(ct)
-        if not report["agree"]:
-            bad.append("\n  ".join(_mismatch_lines(ct, report)))
+    bad = _disagreements(cells)
     if bad:
-        print("\n".join(bad), file=sys.stderr)
+        print("\n".join("\n  ".join(lines) for lines in bad), file=sys.stderr)
         return MISMATCH
     print(f"all table cells agree with enumeration up to rank {args.max_rank}")
     return 0
@@ -275,12 +270,8 @@ def _check_partition_counts(max_rank):
 
 
 def _interval_size(d):
-    """|[id, cox]|: Cat(n+1) for A_n, Cat(D_n) for D_n, and the E literals."""
-    if d.series == "A":
-        return classifier.catalan(d.rank + 1)
-    if d.series == "D":
-        return classifier.catalan_d(d.rank)
-    return {6: 833, 7: 4160, 8: 25080}[d.rank]
+    """|[id, cox]|, the W-Catalan number: prod (h + e) / e over the degrees e."""
+    return prod(d.coxeter_number + e for e in d.degrees) // prod(d.degrees)
 
 
 def _check_interval_counts(max_rank):
@@ -289,10 +280,8 @@ def _check_interval_counts(max_rank):
         got = len(enumerate_nc(build_root_system(d)))
         if got != _interval_size(d):
             details.append(f"{d}: {got} != {_interval_size(d)}")
-    msg = "interval sizes match the type counts" + (
-        f" ({'; '.join(details)})" if details else ""
-    )
-    return not details, msg
+    listed = f" ({'; '.join(details)})" if details else ""
+    return not details, f"interval sizes match the type counts{listed}"
 
 
 def _check_rotation_counts(max_rank):
@@ -309,41 +298,34 @@ def _check_rotation_counts(max_rank):
 
 
 def _check_bijections(max_rank):
-    for n in range(1, min(4, max_rank) + 1):
-        rs = build_root_system(DynkinType("A", n))
-        for w in enumerate_nc(rs):
-            p = ncp_models.brady_f(rs, w)
-            if ncp_models.brady_g(rs, p) != w:
-                return False, f"A-side roundtrip failed at rank {n}"
-    for n in (4, 5):
-        if n > max_rank:
-            continue
-        rs = build_root_system(DynkinType("D", n))
-        for w in enumerate_nc(rs):
-            p = ar_bijection_f(rs, w)
-            if ncp_models.ar_bijection_g(rs, p) != w:
-                return False, f"D-side roundtrip failed at rank {n}"
+    sides = [
+        ("A", range(1, min(4, max_rank) + 1), ncp_models.brady_f, ncp_models.brady_g),
+        ("D", range(4, min(5, max_rank) + 1), ar_bijection_f, ncp_models.ar_bijection_g),
+    ]
+    for series, ranks, f, g in sides:
+        for n in ranks:
+            rs = build_root_system(DynkinType(series, n))
+            if not interval_report(f"round trip ({rs.delta})", rs, lambda w: g(rs, f(rs, w)) == w).passed:
+                return False, f"{series}-side roundtrip failed at rank {n}"
     return True, "partition bijections invert on both sides"
 
 
 def _check_commuting_squares(max_rank):
+    f = ncp_models.brady_f
     for n in range(2, min(5, max_rank) + 1):
         rs = build_root_system(DynkinType("A", n))
         cox, coxinv = rs.cox, rs.cox.inverse()
-        for w in enumerate_nc(rs):
-            lhs = ncp_models.brady_f(rs, cox * w * coxinv)
-            if lhs != rotate_a(ncp_models.brady_f(rs, w), 1):
-                return False, f"rotation square failed for A{n}"
-    for n in (4, 5):
-        if n > max_rank:
-            continue
+        square = interval_report(
+            f"rotation square ({rs.delta})", rs, lambda w: f(rs, cox * w * coxinv) == rotate_a(f(rs, w), 1)
+        )
+        if not square.passed:
+            return False, f"rotation square failed for A{n}"
+    for n in range(4, min(5, max_rank) + 1):
         rs = build_root_system(DynkinType("D", n))
-        rep = coxeter_conjugation_is_sigma_rho(rs)
-        if not rep.passed:
-            return False, rep.summary()
-        rep = derived_engine.phi_fixes_sigma_on_nc(rs)
-        if not rep.passed:
-            return False, rep.summary()
+        for check in (ncp_models.coxeter_conjugation_is_sigma_rho, derived_engine.phi_fixes_sigma_on_nc):
+            rep = check(rs)
+            if not rep.passed:
+                return False, rep.summary()
     return True, "conjugation and arm-swap squares commute"
 
 
@@ -365,14 +347,12 @@ def _check_engine_identities(max_rank):
 
 
 def _check_classification(max_rank):
-    bad = []
-    for d in _verified_types(max_rank):
-        for t in automorphisms(d):
-            for r in range(1, 2 * d.coxeter_number + 1):
-                ct = CategoryType(d, r, t)
-                report = classification_report(ct)
-                if not report["agree"]:
-                    bad.append("; ".join(_mismatch_lines(ct, report)))
+    bad = ["; ".join(lines) for lines in _disagreements(
+        CategoryType(d, r, t)
+        for d in _verified_types(max_rank)
+        for t in automorphisms(d)
+        for r in range(1, 2 * d.coxeter_number + 1)
+    )]
     if bad:
         return False, f"classification disagrees: {' | '.join(bad[:5])}"
     triality = " (the triality (D4, r, 3) included)" if max_rank >= 4 else ""
@@ -413,13 +393,12 @@ def cmd_verify(args):
         _check_fibers,
     ]
     results = []
-    failed = False
     for fn in checks:
         ok, msg = fn(args.max_rank)
         results.append({"check": fn.__name__.lstrip("_"), "ok": ok, "detail": msg})
         status = "ok" if ok else "FAIL"
         print(f"[{status}] {msg}")
-        failed = failed or not ok
+    failed = not all(r["ok"] for r in results)
     if args.json:
         print(json.dumps(results, indent=2))
     print("all checks passed" if not failed else "verification failed")

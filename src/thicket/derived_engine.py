@@ -26,6 +26,7 @@ from math import gcd
 from operator import mod
 
 from .linalg import mat_inverse, mat_vec
+from .ncp_models import VerificationReport, ar_bijection_f, ar_bijection_g, interval_report, sigma
 from .root_coxeter import (
     BrokenInvariant,
     DynkinType,
@@ -34,7 +35,6 @@ from .root_coxeter import (
     arrows,
     build_root_system,
     cycle_masks,
-    enumerate_nc,
     index_permutation,
     roots_below,
     _interval,
@@ -180,12 +180,13 @@ def automorphisms(delta):
     root maps: the criterion is untwisted, with offset h // 2.  The even-D
     arm swap twists by P, the swap of the simple roots n-1 and n: cox
     conjugation acts on the D model as sigma.rho
-    (coxeter_conjugation_is_sigma_rho) and the arm swap as sigma
-    (phi_fixes_sigma_on_nc), so sigma^(s+1) rho^s is conjugation by P
-    cox^s.  The triality twists by P_3 s_1 s_4 with the power -s: the
-    rotation permutes the simple roots as P_3, and s_1 s_4 is the
-    reflection-functor word at the two arms whose arrows it reverses, so
-    phi.tau^-r acts on roots as T cox^-r, and cox^3 = -1.
+    (ncp_models.coxeter_conjugation_is_sigma_rho) and the arm swap as
+    sigma (phi_fixes_sigma_on_nc below; each is an interval_report over
+    [id, cox]), so sigma^(s+1) rho^s is conjugation by P cox^s.  The
+    triality twists by P_3 s_1 s_4 with the power -s: the rotation
+    permutes the simple roots as P_3, and s_1 s_4 is the reflection-functor
+    word at the two arms whose arrows it reverses, so phi.tau^-r acts on
+    roots as T cox^-r, and cox^3 = -1.
     """
     n, h = delta.rank, delta.coxeter_number
 
@@ -447,20 +448,13 @@ def phi_fixes_sigma_on_nc(rs):
     sends w to the expected element exactly when its root permutation
     sends the root set of w onto the expected one.
     """
-    from .ncp_models import VerificationReport, ar_bijection_f, ar_bijection_g, sigma
-
     perm = root_permutation(build_label_walk(rs.delta), phi_map(rs.delta, 2))
-    failures = []
-    elements = enumerate_nc(rs)
-    for w in elements:
+
+    def holds(w):
         expected = ar_bijection_g(rs, sigma(ar_bijection_f(rs, w)))
-        if frozenset(perm[a] for a in roots_below(rs, w)) != roots_below(rs, expected):
-            failures.append(w)
-    return VerificationReport(
-        f"arm swap acts as the sign flip on the D model ({rs.delta})",
-        len(elements),
-        tuple(failures),
-    )
+        return frozenset(perm[a] for a in roots_below(rs, w)) == roots_below(rs, expected)
+
+    return interval_report(f"arm swap acts as the sign flip on the D model ({rs.delta})", rs, holds)
 
 
 @lru_cache(maxsize=None)
@@ -473,8 +467,6 @@ def cluster_category_check(delta, power=1):
     tuple.  Only callers that ask the same (delta, power) again gain,
     such as a sweep over many cells of one type; `verify` asks each once.
     """
-    from .ncp_models import VerificationReport
-
     rs = build_root_system(delta)
     labeling = build_label_walk(delta)
     invariant = fixed_by_cycles(rs, vertex_map_permutation(labeling, cluster_map(delta, power))[1])

@@ -510,19 +510,18 @@ class VerificationReport:
         return f"{self.name}: {self.total} cases, {status}"
 
 
+def interval_report(name, rs, holds):
+    """The report of holds(w) for every w in [id, cox]: its failures are
+    the elements where holds is false, in interval order."""
+    elements = enumerate_nc(rs)
+    return VerificationReport(name, len(elements), tuple(w for w in elements if not holds(w)))
+
+
 def coxeter_conjugation_is_sigma_rho(rs):
     """Check f(cox w cox^-1) == sigma(rho(f(w))) over the whole interval."""
-    cox = rs.cox
-    coxinv = cox.inverse()
-    failures = []
-    elements = enumerate_nc(rs)
-    for w in elements:
-        lhs = ar_bijection_f(rs, cox * w * coxinv)
-        rhs = sigma(rho(ar_bijection_f(rs, w)))
-        if lhs != rhs:
-            failures.append(w)
-    return VerificationReport(
+    cox, coxinv = rs.cox, rs.cox.inverse()
+    return interval_report(
         f"cox conjugation acts as sigma.rho on the D model ({rs.delta})",
-        len(elements),
-        tuple(failures),
+        rs,
+        lambda w: ar_bijection_f(rs, cox * w * coxinv) == sigma(rho(ar_bijection_f(rs, w))),
     )

@@ -130,6 +130,34 @@ def test_verify_checks_every_interval_size(monkeypatch):
                       "(A1: 1 != 2; A7: 1429 != 1430; D8: 9437 != 9438)")
 
 
+def test_interval_sizes_are_the_catalan_numbers_of_the_type():
+    for n in range(1, 13):
+        assert cli._interval_size(thicket.DynkinType("A", n)) == classifier.catalan(n + 1)
+    for n in range(4, 13):
+        assert cli._interval_size(thicket.DynkinType("D", n)) == classifier.catalan_d(n)
+    sizes = [cli._interval_size(thicket.DynkinType("E", n)) for n in (6, 7, 8)]
+    assert sizes == [833, 4160, 25080]
+
+
+def test_verify_names_the_first_broken_round_trip(monkeypatch):
+    assert cli._check_bijections(5) == (True, "partition bijections invert on both sides")
+    monkeypatch.setattr(cli.ncp_models, "ar_bijection_g", lambda rs, p: rs.identity)
+    assert cli._check_bijections(5) == (False, "D-side roundtrip failed at rank 4")
+    # the A side is checked first
+    monkeypatch.setattr(cli.ncp_models, "brady_g", lambda rs, p: rs.identity)
+    assert cli._check_bijections(5) == (False, "A-side roundtrip failed at rank 1")
+
+
+def test_verify_names_the_first_broken_square(monkeypatch):
+    assert cli._check_commuting_squares(5) == (True, "conjugation and arm-swap squares commute")
+    monkeypatch.setattr(cli.ncp_models, "sigma", lambda p: p)
+    assert cli._check_commuting_squares(5) == (False, (
+        "cox conjugation acts as sigma.rho on the D model (D4): 50 cases, FAILED (30)"))
+    # the A rotation square is checked first
+    monkeypatch.setattr(cli, "rotate_a", lambda p, k: p)
+    assert cli._check_commuting_squares(5) == (False, "rotation square failed for A2")
+
+
 def test_verify_runs_the_cluster_check_on_series_e(monkeypatch):
     seen = []
 

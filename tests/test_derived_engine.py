@@ -45,6 +45,7 @@ from thicket.derived_engine import (
     vertex_map_permutation,
 )
 from thicket.linalg import mat_mul, mat_vec
+from thicket.ncp_models import ar_bijection_f, ar_bijection_g, sigma
 from thicket.root_coxeter import (
     BrokenInvariant,
     DynkinType,
@@ -438,6 +439,25 @@ def test_arm_swap_acts_as_sign_flip():
         rs = build_root_system(DynkinType("D", n))
         report = phi_fixes_sigma_on_nc(rs)
         assert report.passed, report.summary()
+
+
+def test_arm_swap_report_lists_each_failure_in_interval_order(monkeypatch):
+    # with the identity for the arm swap's root map, the failures are the
+    # elements the sign flip moves
+    rs = build_root_system(DynkinType("D", 4))
+    elements = enumerate_nc(rs)
+    moved = tuple(
+        w for w in elements
+        if ar_bijection_g(rs, sigma(ar_bijection_f(rs, w))) != w
+    )
+    monkeypatch.setattr(
+        derived_engine, "root_permutation", lambda lab, g: {a: a for a in lab.rs.positives}
+    )
+    report = phi_fixes_sigma_on_nc(rs)
+    assert report.total == len(elements) == 50
+    assert report.failures == moved and 0 < len(moved) < len(elements)
+    assert report.summary() == (
+        f"arm swap acts as the sign flip on the D model (D4): 50 cases, FAILED ({len(moved)})")
 
 
 def test_triality_action_structure():

@@ -500,6 +500,16 @@ def test_sigma_rho_power_helper():
         assert sigma_rho_power(p, 1) == rho(p)  # sigma^2 rho = rho
 
 
+def test_interval_report_lists_the_failures_in_interval_order():
+    rs = build_root_system(DynkinType("A", 3))
+    elements = enumerate_nc(rs)
+    odd = set(elements[1::2])
+    report = ncp_models.interval_report("odd places", rs, lambda w: w not in odd)
+    assert report.failures == tuple(elements[1::2])
+    assert report.summary() == "odd places: 14 cases, FAILED (7)"
+    assert ncp_models.interval_report("all", rs, lambda w: True).summary() == "all: 14 cases, ok"
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_conjugation_square(n):
     rs = build_root_system(DynkinType("D", n))
