@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 invalid mathematical input,
 
 import argparse
 import json
+import os
 import re
 import sys
 from math import comb, gcd, prod
@@ -50,6 +51,18 @@ MISMATCH = 3
 
 class IndexOutOfRange(InvalidInput):
     pass
+
+
+class _Unwritable(Exception):
+    """An --out file that cannot be opened for writing: a usage error."""
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,9 +213,7 @@ def cmd_classify(args):
 def cmd_render(args):
     if args.what == "circle":
         partition = {"A": SetPartitionA, "D": DPartition}[args.model](args.n, args.blocks)
-        svg = render.render_circle(partition, kind=args.model)
-        with open(args.out, "w") as fh:
-            fh.write(svg)
+        _write(args.out, render.render_circle(partition, kind=args.model))
         print(args.out)
         return 0
     ct = _category_type(args)
@@ -215,12 +226,8 @@ def cmd_render(args):
         )
     for idx in range(len(descs)) if args.index is None else [args.index]:
         desc = descs[idx]
-        svg = render.render_ar_strip(desc, window, domain_width=ct.r)
-        txt = render.ascii_ar_strip(desc, window)
-        with open(f"{args.out}{idx}.svg", "w") as fh:
-            fh.write(svg)
-        with open(f"{args.out}{idx}.txt", "w") as fh:
-            fh.write(txt)
+        _write(f"{args.out}{idx}.svg", render.render_ar_strip(desc, window, domain_width=ct.r))
+        _write(f"{args.out}{idx}.txt", render.ascii_ar_strip(desc, window))
         print(f"{args.out}{idx}.svg")
     return 0
 
@@ -420,10 +427,20 @@ def main(argv=None):
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MATH_ERROR
+    except _Unwritable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # stdout's reader is gone (the flush above catches a short output
+        # too); devnull takes the rest, so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

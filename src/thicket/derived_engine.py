@@ -38,7 +38,7 @@ from .root_coxeter import (
     index_permutation,
     roots_below,
     _interval,
-    _require,
+    _tree_offsets,
 )
 
 
@@ -92,19 +92,6 @@ def identity_map(n):
 def tau_power(n, k):
     """The k-th power of the translation: (m, q) -> (m - k, q)."""
     return QuiverAutomorphism(n, tuple(range(1, n + 1)), (-k,) * n)
-
-
-def _tree_offsets(delta, rise):
-    """Column offsets with off[b] - off[a] = rise(a, b) along every arrow
-    a -> b of Delta, rooted at off[1] = 0 (Delta is a tree)."""
-    off = {1: 0}
-    while len(off) < delta.rank:
-        for (a, b) in arrows(delta):
-            if a in off and b not in off:
-                off[b] = off[a] + rise(a, b)
-            elif b in off and a not in off:
-                off[a] = off[b] - rise(a, b)
-    return [off[q] for q in range(1, delta.rank + 1)]
 
 
 def vertex_map(delta, perm, order, k):
@@ -247,37 +234,21 @@ def suspension_vertex_map(delta):
 class Labeling:
     """(root, shift) labels for the vertices of ZDelta.
 
-    One period of each column is materialized; any window follows from
-    m-periodicity (roots repeat with period h, shifts gain 2 per period).
+    Column q starts at (rs.slice_offsets[q-1], q) with the projective
+    rs.projectives[q-1] at shift 0: the root system's slice.  One period
+    of each column is materialized; any window follows from m-periodicity
+    (roots repeat with period h, shifts gain 2 per period).
     """
 
     def __init__(self, rs):
         self.rs = rs
-        n = rs.rank
         self.h = rs.delta.coxeter_number
-        self.slice_offsets = self._slice_offsets()
+        self.slice_offsets = rs.slice_offsets
+        self.projectives = rs.projectives
         self.coxinv = mat_inverse(rs.cox.matrix)
-        proj = mat_inverse(rs.euler_form)
-        self.projectives = tuple(tuple(row) for row in proj)
         self._permutations = {}  # (perm, offsets mod h) -> vertex_map_permutation
         self._generator_cycles = {}  # (t, r mod h) -> cycles of generator_map
-        for row in self.projectives:
-            _require(row in rs.positives, "projective seed is not a positive root")
-        self._root_col = []
-        self._shift_col = []
-        for q in range(1, n + 1):
-            roots, shifts = self._walk_column(q)
-            self._root_col.append(roots)
-            self._shift_col.append(shifts)
-
-    def _slice_offsets(self):
-        """Column offsets placing the projectives on a slice of ZDelta.
-
-        Along an arrow x -> y the radical inclusion P(y) -> P(x) is the mesh
-        arrow (c, y) -> (c + 1, x), so sources sit one step right.
-        """
-        off = _tree_offsets(self.rs.delta, lambda a, b: -1)
-        return tuple(o - min(off) for o in off)
+        self._root_col, self._shift_col = zip(*map(self._walk_column, range(1, rs.rank + 1)))
 
     def _walk_column(self, q):
         h = self.h
@@ -415,10 +386,10 @@ def generator_map(ct):
     return _after_tau(phi_map(ct.delta, ct.t), ct.r)
 
 
-@lru_cache(maxsize=None)
 def cluster_map(delta, power):
     """S^power.tau^-1, whose orbits build the cluster category (power 1)
-    and its shift-twice variant (power 2); built once per type and power."""
+    and its shift-twice variant (power 2); cluster_category_check, its
+    caller, runs once per type and power."""
     return _after_tau(suspension_vertex_map(delta).power(power), 1)
 
 

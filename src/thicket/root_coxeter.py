@@ -24,7 +24,7 @@ masks; cox's is computed once per root system.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import mul
 
 from .linalg import identity, mat_inverse, mat_mul, mat_vec, scaled_inverse, sub_outer
@@ -121,6 +121,19 @@ def arrows(delta):
     return tuple(out)
 
 
+def _tree_offsets(delta, rise):
+    """Column offsets with off[b] - off[a] = rise(a, b) along every arrow
+    a -> b of Delta, rooted at off[1] = 0 (Delta is a tree)."""
+    off = {1: 0}
+    while len(off) < delta.rank:
+        for (a, b) in arrows(delta):
+            if a in off and b not in off:
+                off[b] = off[a] + rise(a, b)
+            elif b in off and a not in off:
+                off[a] = off[b] - rise(a, b)
+    return [off[q] for q in range(1, delta.rank + 1)]
+
+
 @dataclass(frozen=True)
 class GroupElement:
     matrix: tuple
@@ -171,18 +184,24 @@ class RootSystem:
         self._simple_reflections = tuple(
             self._reflection_matrix(s) for s in self.simples
         )
-        self.cox = GroupElement(
-            _product([self._simple_reflections[i - 1] for i in self._exceptional_order()])
-        )
-        # the product over an exceptional ordering of the simples is the
-        # Coxeter transformation of the Euler form: it sends the dimension
-        # vector of each projective to minus that of the matching injective
-        euler_inv = mat_inverse(self.euler_form)
-        expected = tuple(
-            tuple(-x for x in row)
-            for row in mat_mul(euler_inv, tuple(zip(*self.euler_form)))
-        )
-        _require(self.cox.matrix == expected, f"Coxeter element of {delta} is not -E^-1 E^T")
+        # the projectives, the rows of E^-1, sit on one slice of ZDelta:
+        # along an arrow x -> y the radical inclusion P(y) -> P(x) is the
+        # mesh arrow (c, y) -> (c + 1, x), so sources sit one step right
+        off = _tree_offsets(delta, lambda a, b: -1)
+        self.slice_offsets = tuple(o - min(off) for o in off)
+        _require(all(off[a - 1] == off[b - 1] + 1 for a, b in self.arrows),
+                 f"an arrow of {delta} does not point one step down the slice")
+        self.projectives = mat_inverse(self.euler_form)
+        _require(all(p in self._root_index for p in self.projectives),
+                 f"a projective of {delta} is not a positive root")
+        # the simple reflections taken sources first, an exceptional order,
+        # multiply to the Coxeter transformation -E^-1 E^T of the Euler
+        # form: it sends each projective to minus the matching injective
+        order = sorted(range(n), key=off.__getitem__, reverse=True)
+        self.cox = GroupElement(reduce(mat_mul, [self._simple_reflections[i] for i in order]))
+        minus_euler_t = tuple(tuple(-x for x in col) for col in zip(*self.euler_form))
+        _require(self.cox.matrix == mat_mul(self.projectives, minus_euler_t),
+                 f"Coxeter element of {delta} is not -E^-1 E^T")
         self.identity = GroupElement(identity(n))
         # cox's action a -> ±cox a on the positive roots, as the index of
         # the image of each root of self.positives
@@ -244,27 +263,6 @@ class RootSystem:
         )
         return tuple(positives)
 
-    def _exceptional_order(self):
-        """Topological order of the quiver; makes the simples exceptional."""
-        n = self.rank
-        outgoing = {i: [] for i in range(1, n + 1)}
-        indeg = {i: 0 for i in range(1, n + 1)}
-        for (a, b) in self.arrows:
-            outgoing[a].append(b)
-            indeg[b] += 1
-        ready = sorted(i for i in indeg if indeg[i] == 0)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            for w in outgoing[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
-        _require(len(order) == n, f"the quiver of {self.delta} has an oriented cycle")
-        return order
-
     # -- basic queries -----------------------------------------------
 
     def simple_reflection(self, i):
@@ -276,13 +274,6 @@ class RootSystem:
         if all(x >= 0 for x in v):
             return v, 1
         return tuple(-x for x in v), -1
-
-
-def _product(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = mat_mul(out, m)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -273,6 +274,39 @@ def test_render_strip_index_out_of_range(tmp_path, capsys, index):
 
 
 # exit-code contract ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["render", "circle", "--model", "A", "--n", "5", "--blocks", "1,4|2,3|5"], ""),
+    (["render", "strip", "--series", "A", "--rank", "5", "--r", "4", "--t", "1"], "0.svg"),
+], ids=["circle", "strip"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, written):
+    out = tmp_path / "missing" / "x"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == f"error: cannot write {out}{written}: {os.strerror(errno.ENOENT)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n,read", [("9", 1), ("3", 0)])
+def test_closed_stdout_ends_quietly_with_exit_0(n, read):
+    # n = 9 prints 4,862 partitions, far more than a pipe buffers, so the
+    # writes after the first line fail; n = 3 prints 5 lines, all still
+    # buffered when its reader closes the pipe without reading.  stdout
+    # keeps its default block buffering, as under a shell pipe
+    src = os.path.dirname(os.path.dirname(thicket.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thicket", "enumerate", "--model", "A", "--n", n],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    lines = [proc.stdout.readline() for _ in range(read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0 and err == ""
+    assert [json.loads(line)["n"] for line in lines] == [int(n)] * read
+
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +53,7 @@ from thicket.root_coxeter import (
     BrokenInvariant,
     DynkinType,
     RootSystem,
+    arrows,
     build_root_system,
     cycle_masks,
     enumerate_nc,
@@ -274,6 +278,111 @@ def test_vertex_maps_are_pinned(key):
     s = suspension_vertex_map(d)
     assert (s.perm, s.offset) == PINNED_MAPS[key, "S"]
     assert build_label_walk(d).slice_offsets == PINNED_SLICES[key]
+
+
+# every type of rank <= 8, and A and D up to rank 12
+SLICE_TYPES = ([("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 13)]
+               + [("E", n) for n in (6, 7, 8)])
+
+# sha256 of the JSON of (rs.cox.matrix, the labeling's projectives, the
+# labeling's [root, shift] at every (m, q) with 0 <= m < h, q-major), as
+# the Kahn order of the simples and the labeling's own slice walk gave them
+SLICE_DIGESTS = {
+    ('A', 1): ("3aa68b41fe21beb89166e0e32d3467a7e1dfa6923a33e9779ef226e3233da949",
+             "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02",
+             "10a573af3fa48652044928d3c439a81de4d1836a3d45d27d9523954901cf906c"),
+    ('A', 2): ("9dadbd5dd39a92490cb139eb5b8856674073121d6940508a930d8e81e398eeab",
+             "d2e054f071ed106ee7e1e6930995f6b4adaafe1e052be2bc294e60cdc530aa37",
+             "eeda15ed2b035504b7c3a4fb7173c3da9aa9e1f26647313596bdbfba62998bbf"),
+    ('A', 3): ("e414a43306985749153cfdb89a4045461f6df5abea855f29f8c43454ce1f7d1d",
+             "064fac6d12d83d04292d1d4bc5fefba8b6e747073b1f0fc639b0d0e1e1b6970a",
+             "e76d303aa28beaeeaddc09cc8c1cf3ec8441d0590affe98f8a7522b55e9f0ab4"),
+    ('A', 4): ("1c264a75bde1f832152f24a073128323b856aa797ef2719ff70771c98bdf2bdd",
+             "2e71ad511ac4a72925b0fbcb73aec629ecbc988570c828506c77d53f79bc8cdf",
+             "e4fd284f56f91d687517e858a59e58417a471b862a1e5860d11e3e4f921fe4ea"),
+    ('A', 5): ("f1cbf5b6565ea7ee12338956af0bf7dc4e7e26b7bce3eea87d8a633f20ede45e",
+             "b795517d72e6b5a4aaba89d8a15e8e9ebcc8a086daffe1e4b60e8e0879e434d7",
+             "6ffddf7a7fead333c60b701fc2dab26587f754404f8abfa7513cfd7d6bda062e"),
+    ('A', 6): ("d79c69cc7b8b6a80506fd231f2600e3483fa53f1e0b30975b067d359b75d70b2",
+             "177df0fab1d01ef9fcde9bd2d66b761d68fb45824b292e74e2b88b147aca0413",
+             "a2de2089837af404a087ab04c7eecc318d764845b15c9fcb5ae21a5ee1f26873"),
+    ('A', 7): ("0cb9a73594312bbc7678a7229afdceee63c3c509eeb31b36ecc6938fe59fa71a",
+             "b08adde114679181b7af12dbd436d5222f545609589624e41545dbc0288b6bb9",
+             "75977de4bd872a6a1c3f8f3fbbf29ddf206b5a74c7f57948edc74cf593476528"),
+    ('A', 8): ("6502f9cc48809f90da1ee65d07b94e3e3378ec836e62542231cbbe454f19e81d",
+             "b48b0357bdf3ff323847387fa3465e507cfe9cb6b5239c5baa9df9f1785e3bbb",
+             "a0d2409b9fe253011572eb691e35005f59c61ccc1cbbe67fc0fb7367ed6ec721"),
+    ('A', 9): ("ff331e3344b5c6b12670ae55fc4a458d261221eb7f786342bde865478435a179",
+             "81f055c79cf67c958b00eeb85be150cab23b26ac4ae757689d444a5c14f0413e",
+             "5f42743c43411a7f23bf896412b82c2fedda1daff0995beb88e39cb637e4b6b2"),
+    ('A', 10): ("2a797f12c34744d79c0fb59c41ec7e39ffd7f84e149c98c4ebbe3f41ecae0887",
+             "a0676d340226170269fbbf86631db079ec62c0694d25561d2238cde8218e808c",
+             "a10d2e27e1baad76fceb5f6da0ee5e84f7f9613264fced6ebeb3f52b720fc9c4"),
+    ('A', 11): ("d41c8848b5db0eeeb316d952219571e3fd43fd2803c19ebb8c1a57235df9ca42",
+             "92410106b3d225a63733e4a2d27b606e01f8bf63a634a884ac54bdd02fb877e9",
+             "0742f7f71c42b1fd68f6730f19ef1bfbf45c0afc8440940882cbe6cbd99e65ec"),
+    ('A', 12): ("2b3951797c3bcfcac9c827b253672f9611fed2894a69acb1df45b6e26abac8be",
+             "7505236976062f52d006597c4d3489e37b144591284bcd294851e1f0a1d5a64d",
+             "2e1d96ccf9cd2b6dc1e69497092c296d231ec5352f265fbeabe5d3bf3c36880e"),
+    ('D', 4): ("1146bf234f113b2d5bb00812955516d63e06a6a10b363a0506a0cf90eebadfd4",
+             "a662c1dd6b57d24e2bd3f4a15fff8e639e8faffcddb6819225db91677d445220",
+             "b2ebce1a57737cffcd6c287c75d9a258e366a39b7ae89da5b77e9cf82e5b79ed"),
+    ('D', 5): ("bad33c9bf63fc6b583bf75f9a9ed18fdf0d6f8e8efb5518f0e2984d6cc5438b3",
+             "b79c76a6ea55c4bb903d0452c1d5808728ce3437455ee564d569bce66c8064f7",
+             "da67f06d9c4180abb37170c977971423c267e42ed34cda5e769f46435c960e4c"),
+    ('D', 6): ("39d7b38250de71d588048b568dce86f2555f0b15bb3f6c5fc9090d2455b97ac9",
+             "704fa710fab3ee97a814650043815dd757bfc55fb8ddbb6ef94cfd67f256d4ca",
+             "4b3707ef9dcb63ae913923027b6d78590b4f8f1d1b8ba3ff8565ad51b502a8a7"),
+    ('D', 7): ("0ecf50816399e006a4eeb669928c7e1fc3bc7b39d2b12ccc540dc818acc6141f",
+             "72964624d2bbad93e85bd8d59d1e5a0ba9f134cebf66ad120b49fea62061d493",
+             "6382dd7d506d185a8b7434a43f584639a4b309e928bce1a803d3df0908176d08"),
+    ('D', 8): ("56ea8812c1c126e51ad26041e78cc12fe79d3b5b43bbdee52c85cf1adc2c6c8d",
+             "083db647fba4122087f768e873a336146ca4e82772a81c936b5b5f9ff1113955",
+             "f403085ac2f28d4955ac60cfb37db791a784f383074a064d1acb7216d7793fe3"),
+    ('D', 9): ("ee8721603e073fddfe73fc7bf114f1b63dbc6493e969003d68ca4355a148eb31",
+             "bb32e1b3ce877d41cf84f3947ad9276393c0ccf68430d70988cfebd1706f2e20",
+             "4637ad41b582b0b0658716508cc8cfd347287614fef98e2cfa122cfece072c25"),
+    ('D', 10): ("cf8568381cc1459d8c86d67cec0a3477c346a7fb4f383920f30ece58fff13be0",
+             "83e9c8e6ef0942eaba178063377eda4549eb9e4944d8af862cdeaf389766fcc9",
+             "09ddc04ceba2c9440e5283b05ca88eb3607283656f40eb0099b0de19ced2f6f9"),
+    ('D', 11): ("647c3bb5e2e093bfc2822d243d625c69610edb7276b830405ab06326b28ea20e",
+             "85136e010ddcd9172da4fd1bb8f42500968fc5b706cddcdd122000df7def569e",
+             "01c9d23395f16ddca1eb93d86486a672e69b8ac06c948b2d97a8a2a6a07932fd"),
+    ('D', 12): ("5738255068bf3cbf055edd1cb3ad5bd6ea724fc6fce541dbaf0be5af1c936ab9",
+             "79ee24d0ebed5891c7b76aee038af4d4d57a8aafb380da9944941caa5251689b",
+             "3de3e142fe347d94fd8b7850076c37922ef209a937173490ea7620a3cb82b414"),
+    ('E', 6): ("01869dfb38df829d0e347da4379035a25e159eef399d1cc433c151fcc995211d",
+             "2757bce767df53690d37cf2d622a706262020bb5f7ce9ab487b131b5fd3b163c",
+             "2391b4989642b373979a7049ef06dbe22d48309893d2deb3a296785e2593ec1a"),
+    ('E', 7): ("451998a694c5fb4dcaf4a317eebe909410f8087c65a78cbcb5652392aeef52b9",
+             "a838f808eb5196dcd5a990a5798fb2e059e0a28933cfb66721861ec1e13bc9f6",
+             "b0f01c87cd3dde4ad89be9fb4f8bf7bdcfe908f2417673196054502f4015e615"),
+    ('E', 8): ("f109fc7634dccab88b4cc601f69c4d2cbfabb884711f6d4e50c4d3f978eb2987",
+             "d190cb6eb94f2f26c319725486fd54c77472a5129156707dadf009d09efb2be1",
+             "e10db721c15d7bdea404da98d386576854e22270926081f6728d1496819a4fdf"),
+}
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", SLICE_TYPES)
+def test_coxeter_element_projectives_and_labels_are_pinned(spec):
+    d = DynkinType(*spec)
+    lab = build_label_walk(d)
+    labels = [[list(lab.root_at(m, q)), lab.shift_at(m, q)]
+              for q in range(1, d.rank + 1) for m in range(lab.h)]
+    got = (_digest(build_root_system(d).cox.matrix), _digest(lab.projectives), _digest(labels))
+    assert got == SLICE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", SLICE_TYPES)
+def test_every_arrow_points_one_step_down_the_slice(spec):
+    d = DynkinType(*spec)
+    off = build_label_walk(d).slice_offsets
+    assert min(off) == 0
+    assert all(off[a - 1] == off[b - 1] + 1 for a, b in arrows(d))
 
 
 def test_zd_arrow_shapes():
