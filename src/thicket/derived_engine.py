@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mod
 
-from .linalg import mat_inverse, mat_vec
+from .linalg import mat_mul, mat_vec
 from .ncp_models import VerificationReport, ar_bijection_f, ar_bijection_g, interval_report, sigma
 from .root_coxeter import (
     BrokenInvariant,
@@ -245,7 +245,9 @@ class Labeling:
         self.h = rs.delta.coxeter_number
         self.slice_offsets = rs.slice_offsets
         self.projectives = rs.projectives
-        self.coxinv = mat_inverse(rs.cox.matrix)
+        # cox = -E^-1 E^T, so cox^-1 = -E^-T E, from the root system's E^-1
+        minus_projectives_t = tuple(tuple(-x for x in col) for col in zip(*rs.projectives))
+        self.coxinv = mat_mul(minus_projectives_t, rs.euler_form)
         self._permutations = {}  # (perm, offsets mod h) -> vertex_map_permutation
         self._generator_cycles = {}  # (t, r mod h) -> cycles of generator_map
         self._root_col, self._shift_col = zip(*map(self._walk_column, range(1, rs.rank + 1)))
@@ -266,11 +268,8 @@ class Labeling:
         m = c
         store(m, root, shift)
         for _ in range(h - 1):
-            v = mat_vec(self.coxinv, root)
-            if all(x <= 0 for x in v):
-                root, shift = tuple(-x for x in v), shift + 1
-            else:
-                root = tuple(v)
+            root, sign = self.rs.normalize_root(mat_vec(self.coxinv, root))
+            shift += sign < 0
             m += 1
             store(m, root, shift)
         return tuple(roots), tuple(shifts)

@@ -8,12 +8,16 @@ vertices of a descriptor.
 
 from .derived_engine import build_label_walk
 from .ncp_models import DPartition, SetPartitionA
-from .root_coxeter import InvalidInput, arrows
+from .root_coxeter import InvalidInput
 
 import math
 
 
 class WindowTooLarge(InvalidInput):
+    pass
+
+
+class EmptyWindow(InvalidInput):
     pass
 
 
@@ -138,7 +142,7 @@ def _strip_geometry(delta, window):
     labeling = build_label_walk(delta)
     m_lo, m_hi = window
     if m_hi <= m_lo:
-        raise ValueError("empty strip window")
+        raise EmptyWindow(f"empty strip window {m_lo}:{m_hi}")
     if m_hi - m_lo > MAX_STRIP_COLUMNS:
         raise WindowTooLarge(f"strip window wider than {MAX_STRIP_COLUMNS} columns")
     offs = labeling.slice_offsets
@@ -148,20 +152,18 @@ def _strip_geometry(delta, window):
         for q in range(1, delta.rank + 1)
     ]
     xy = {(m, q): (2 * m - offs[q - 1], q) for (m, q) in verts}
-    arrs = []
-    for (m, q) in verts:
-        for (x, y) in arrows(delta):
-            if x == q and (m, y) in xy:
-                arrs.append(((m, x), (m, y)))
-            if y == q and (m + 1, x) in xy:
-                arrs.append(((m, y), (m + 1, x)))
-    return labeling, verts, xy, arrs
+    return labeling, verts, xy
 
 
 def render_ar_strip(desc, window, spacing=28.0, domain_width=None):
     """SVG strip of the translation quiver with marked vertices."""
     delta = desc.delta
-    labeling, verts, xy, arrs = _strip_geometry(delta, window)
+    labeling, verts, xy = _strip_geometry(delta, window)
+    m_lo, m_hi = window
+    # the quiver arrows (m, x) -> (m, y) of every column and the mesh
+    # arrows (m, y) -> (m + 1, x) between neighbouring columns
+    arrs = [((m, x), (m, y)) for m in range(m_lo, m_hi) for x, y in labeling.rs.arrows]
+    arrs += [((m, y), (m + 1, x)) for m in range(m_lo, m_hi - 1) for x, y in labeling.rs.arrows]
     xs = [x for x, _ in xy.values()]
     x_min = min(xs)
     margin = 26.0
@@ -178,7 +180,6 @@ def render_ar_strip(desc, window, spacing=28.0, domain_width=None):
             'stroke="#888" stroke-width="1"/>'
         )
     if domain_width:
-        m_lo, m_hi = window
         start = m_lo + (-m_lo) % domain_width
         for m in range(start, m_hi + 1, domain_width):
             x = margin + (2 * m - x_min) * spacing / 2
@@ -205,7 +206,7 @@ def render_ar_strip(desc, window, spacing=28.0, domain_width=None):
 def ascii_ar_strip(desc, window):
     """Text strip: one row per vertex of the diagram, marks as 'O'."""
     delta = desc.delta
-    labeling, verts, xy, _ = _strip_geometry(delta, window)
+    labeling, verts, xy = _strip_geometry(delta, window)
     xs = [x for x, _ in xy.values()]
     x_min, x_max = min(xs), max(xs)
     grid = [[" "] * (x_max - x_min + 1) for _ in range(delta.rank)]

@@ -219,11 +219,7 @@ class RootSystem:
 
     def pairing(self, v, w):
         """Symmetrized bilinear form (v, w)."""
-        return sum(
-            v[i] * self.sym_form[i][j] * w[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return sum(map(mul, v, mat_vec(self.sym_form, w)))
 
     def _reflection_matrix(self, v):
         """s_v = 1 - v (B v)^T."""

@@ -186,6 +186,26 @@ def test_verify_passes_with_assertions_stripped():
     assert "all checks passed" in proc.stdout
 
 
+def test_only_the_cli_imports_json_and_argparse():
+    # the library keeps its imports lean (fractions is deferred to the one
+    # function that needs it); -S leaves site-packages off the path, so an
+    # import of numpy fails outright
+    src = os.path.dirname(os.path.dirname(thicket.__file__))
+    probe = "\n".join([
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "heavy = ('fractions', 'json', 'argparse', 'numpy')",
+        "import thicket, thicket.render",
+        "print(*[m for m in heavy if m in sys.modules])",
+        "import thicket.cli",
+        "print(*[m for m in heavy if m in sys.modules])",
+    ])
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\njson argparse\n"
+
+
 def test_table_markdown(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0

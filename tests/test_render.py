@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from thicket.classifier import CategoryType, enumerate_thick
 from thicket.ncp_models import BPartition, DPartition, SetPartitionA, rotate_a
 from thicket.render import (
+    EmptyWindow,
     WindowTooLarge,
     WrongModel,
     ascii_ar_strip,
@@ -161,3 +163,48 @@ def test_strip_window_limits():
         render_ar_strip(desc, (0, 500))
     with pytest.raises(ValueError):
         render_ar_strip(desc, (3, 3))
+
+
+@pytest.mark.parametrize("strip", [render_ar_strip, ascii_ar_strip])
+@pytest.mark.parametrize("window", [(3, 3), (4, 2)])
+def test_empty_strip_window_is_invalid_input(strip, window):
+    ct = CategoryType(DynkinType("A", 2), 1, 1)
+    desc = enumerate_thick(ct)[0]
+    with pytest.raises(EmptyWindow) as err:
+        strip(desc, window)
+    assert isinstance(err.value, InvalidInput)
+
+
+# sha256 of the SVG strips (domain_width r) and of the ASCII strips of every
+# thick subcategory of the type, in enumeration order, over the CLI's default
+# window (0, 2h) and over a window reaching left of the slice
+STRIP_DIGESTS = {
+    (("A", 5), 4, 1, (0, 12)): (
+        "03d873ac4a2ba70f7ef32c28c355e3069b098c032976b4eb28a4e8214936c2eb",
+        "6a345ff6551d352e5edbdfd834a73a2dd65339919ac490a917a448347b5eba8b"),
+    (("A", 5), 4, 1, (-7, 5)): (
+        "bb230ccf249011f5660e847553a10c77c58a81c0a5f556271e39aa44f4ccb5b1",
+        "48dbf8b2fec356a648039053f3913d5ed975a9bb5fac0ef901740509b9b9ed51"),
+    (("D", 5), 3, 2, (0, 16)): (
+        "1f3154792caf5c29b19de8d95f52a78a6a73015eab2dac6b5d87ff8cfddf7feb",
+        "b3b4fe34b999ab556c4dd2c359a8316bdd2848df6fff4a00ca1b0c5093f9bb36"),
+    (("D", 5), 3, 2, (-7, 5)): (
+        "c46d96ff5f0426ff06110dda808d8fb2c385c7c01f43a8bb1b4ba0ead9af09f4",
+        "45997e0a0c103edefd5914dc980a8ed717b4758930be3ae88d7f4433182e08e2"),
+    (("E", 6), 6, 1, (0, 24)): (
+        "e315ec77a6e041b56f7f21bf2b6b71b5e882af62a7841c459b1dd48b5a5297d4",
+        "cf291ec9e05c0f4587896229457d5081616e7e198e3cf7b734e2205d814d7e5a"),
+    (("E", 6), 6, 1, (-7, 5)): (
+        "33a88cc4003041d6fcf730981bc35dcebe84e31a341d5eca4e930e647ea04530",
+        "cb526a79c604e98f80744acc8d0479772f3920a762d39d78bdf93df1c79be517"),
+}
+
+
+@pytest.mark.parametrize("key", STRIP_DIGESTS)
+def test_strips_are_pinned(key):
+    spec, r, t, window = key
+    svg, txt = hashlib.sha256(), hashlib.sha256()
+    for desc in enumerate_thick(CategoryType(DynkinType(*spec), r, t)):
+        svg.update(render_ar_strip(desc, window, domain_width=r).encode())
+        txt.update(ascii_ar_strip(desc, window).encode())
+    assert (svg.hexdigest(), txt.hexdigest()) == STRIP_DIGESTS[key]

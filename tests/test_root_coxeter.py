@@ -4,6 +4,8 @@ import random
 from math import comb, factorial, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import (
     absolute_length,
@@ -132,6 +134,22 @@ def test_symmetric_form_is_symmetrized_euler_form():
         for j in range(n):
             assert rs.sym_form[i][j] == rs.euler_form[i][j] + rs.euler_form[j][i]
 
+
+
+RANK_8_TYPES = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+                + [("E", 6), ("E", 7), ("E", 8)])
+
+
+@pytest.mark.parametrize("spec", RANK_8_TYPES)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pairing_is_the_double_sum_of_the_symmetric_form(spec, data):
+    rs = build_root_system(DynkinType(*spec))
+    n = rs.rank
+    v, w = (tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+            for _ in range(2))
+    expected = sum(v[i] * rs.sym_form[i][j] * w[j] for i in range(n) for j in range(n))
+    assert rs.pairing(v, w) == expected
 
 def test_reflection_formula_on_a2():
     # s_{a1} sends a1 to -a1 and a2 to a1 + a2
