@@ -135,9 +135,9 @@ def test_symmetric_form_is_symmetrized_euler_form():
             assert rs.sym_form[i][j] == rs.euler_form[i][j] + rs.euler_form[j][i]
 
 
-
-RANK_8_TYPES = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
-                + [("E", 6), ("E", 7), ("E", 8)])
+RANK_8_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8)]
+)
 
 
 @pytest.mark.parametrize("spec", RANK_8_TYPES)
@@ -150,6 +150,7 @@ def test_pairing_is_the_double_sum_of_the_symmetric_form(spec, data):
             for _ in range(2))
     expected = sum(v[i] * rs.sym_form[i][j] * w[j] for i in range(n) for j in range(n))
     assert rs.pairing(v, w) == expected
+
 
 def test_reflection_formula_on_a2():
     # s_{a1} sends a1 to -a1 and a2 to a1 + a2
